@@ -44,6 +44,22 @@ class Fnv1a
         return *this;
     }
 
+    /**
+     * Mix @p n zero bytes in O(log n).  XOR with a zero byte is a
+     * no-op, so n of them multiply the state by kFnvPrime^n (mod
+     * 2^64): the result equals bytes() over n zeros.
+     */
+    Fnv1a &
+    zeros(std::uint64_t n)
+    {
+        std::uint64_t scale = 1;
+        for (std::uint64_t p = kFnvPrime; n; n >>= 1, p *= p)
+            if (n & 1)
+                scale *= p;
+        h *= scale;
+        return *this;
+    }
+
     Fnv1a &
     u32(std::uint32_t v)
     {

@@ -48,6 +48,19 @@ JrpmSystem::JrpmSystem(Workload workload, JrpmConfig config)
         load.profileArgs = load.mainArgs;
 }
 
+RunDigest
+RunOutcome::digest() const
+{
+    RunDigest d;
+    d.halted = halted;
+    d.uncaught = uncaught;
+    d.exitValue = exitValue;
+    d.output = vm.output;
+    d.memChecksum = memChecksum;
+    d.memImage = memImage;
+    return d;
+}
+
 RunOutcome
 JrpmSystem::runOn(Machine &m, const std::vector<Word> &args)
 {
@@ -85,13 +98,13 @@ JrpmSystem::runOn(Machine &m, const std::vector<Word> &args)
     out.l2Misses = m.l2Misses();
     out.watchdogFired = m.watchdogFired();
     if (cfg.oracle.mode != OracleMode::Off) {
+        JRPM_HPROF(OracleCheck);
         const auto skip =
             VmRuntime::scratchRegions(vmCfg, cfg.sys.numCpus);
         out.memChecksum = m.memoryChecksum(skip);
         if (cfg.oracle.mode == OracleMode::Strict)
-            out.memImage = std::make_shared<
-                const std::vector<std::uint8_t>>(
-                m.memorySnapshot());
+            out.memImage =
+                std::make_shared<const MemImage>(m.memorySnapshot());
     }
     auto &reg = MetricsRegistry::global();
     m.publishMetrics(reg);
@@ -454,19 +467,9 @@ JrpmSystem::runPipeline()
     // Differential oracle: the TLS run's final memory image must be
     // the sequential run's, bit for bit outside the VM scratch words.
     if (cfg.oracle.mode != OracleMode::Off) {
-        auto digest = [](const RunOutcome &o) {
-            RunDigest d;
-            d.halted = o.halted;
-            d.uncaught = o.uncaught;
-            d.exitValue = o.exitValue;
-            d.output = o.vm.output;
-            d.memChecksum = o.memChecksum;
-            d.memImage = o.memImage;
-            return d;
-        };
         JRPM_HPROF(OracleCheck);
         rep.oracle = Oracle::compare(
-            cfg.oracle, digest(rep.seqMain), digest(rep.tls),
+            cfg.oracle, rep.seqMain.digest(), rep.tls.digest(),
             VmRuntime::scratchRegions(cfg.vm, cfg.sys.numCpus));
         if (!rep.oracle.match()) {
             rep.outputsMatch = false;

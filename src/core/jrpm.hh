@@ -137,9 +137,12 @@ struct RunOutcome
     std::uint64_t l2Misses = 0;
     /** Oracle capture (zero / null when the oracle is off). */
     std::uint64_t memChecksum = 0;
-    std::shared_ptr<const std::vector<std::uint8_t>> memImage;
+    std::shared_ptr<const MemImage> memImage;
     bool watchdogFired = false;
     std::uint32_t faultsInjected = 0;
+
+    /** What the differential oracle compares of this run. */
+    RunDigest digest() const;
 };
 
 /** Fig. 9 lifecycle components, in cycles. */

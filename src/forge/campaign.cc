@@ -26,19 +26,6 @@ namespace forge
 namespace
 {
 
-RunDigest
-digestOf(const RunOutcome &o)
-{
-    RunDigest d;
-    d.halted = o.halted;
-    d.uncaught = o.uncaught;
-    d.exitValue = o.exitValue;
-    d.output = o.vm.output;
-    d.memChecksum = o.memChecksum;
-    d.memImage = o.memImage;
-    return d;
-}
-
 CaseResult
 runCaseImpl(const ScenarioSpec &spec, const JrpmConfig &base,
             bool forced_sweep, JrpmReport *rep_out)
@@ -110,14 +97,18 @@ runCaseImpl(const ScenarioSpec &spec, const JrpmConfig &base,
         rep.seqMain.halted) {
         const auto skip =
             VmRuntime::scratchRegions(base.vm, base.sys.numCpus);
-        const RunDigest golden = digestOf(rep.seqMain);
+        const RunDigest golden = rep.seqMain.digest();
         for (const auto &li : sys.jit().loopInfos()) {
             SelectedStl sel;
             sel.loopId = li.loopId;
             const RunOutcome tls = sys.runTls(w.mainArgs, {sel});
             ++cr.forcedLoops;
-            const OracleReport orep = Oracle::compare(
-                base.oracle, golden, digestOf(tls), skip);
+            OracleReport orep;
+            {
+                JRPM_HPROF(OracleCheck);
+                orep = Oracle::compare(base.oracle, golden, tls.digest(),
+                                       skip);
+            }
             if (!orep.match()) {
                 ++cr.forcedDiverged;
                 if (cr.detail.empty())

@@ -1,10 +1,15 @@
 /**
  * @file
- * Unit tests for the common utilities (stats, rng, formatting).
+ * Unit tests for the common utilities (stats, rng, formatting,
+ * hashing).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
@@ -19,6 +24,26 @@ TEST(Strfmt, FormatsLikePrintf)
     EXPECT_EQ(strfmt("x=%d y=%s", 42, "ok"), "x=42 y=ok");
     EXPECT_EQ(strfmt("%05.1f", 2.25), "002.2");
     EXPECT_EQ(strfmt("empty"), "empty");
+}
+
+TEST(Fnv1a, ZerosEqualsBytesOverZeros)
+{
+    const std::vector<std::uint8_t> page(4096, 0);
+    for (std::uint64_t n : {0ull, 1ull, 7ull, 4096ull, 4097ull,
+                            1ull << 26}) {
+        // Start from a mixed state so the multiply is not trivial.
+        Fnv1a ref, fast;
+        ref.str("prefix");
+        fast.str("prefix");
+        for (std::uint64_t left = n; left;) {
+            const std::uint64_t chunk =
+                std::min<std::uint64_t>(left, page.size());
+            ref.bytes(page.data(), chunk);
+            left -= chunk;
+        }
+        fast.zeros(n);
+        EXPECT_EQ(fast.value(), ref.value()) << "n=" << n;
+    }
 }
 
 TEST(SampleStat, TracksMeanMinMax)
