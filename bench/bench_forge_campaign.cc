@@ -91,14 +91,13 @@ using forge::CorpusEntry;
 using forge::ScenarioSpec;
 
 /** Campaign-sized pipeline config: strict oracle unless overridden,
- *  small memory image so strict compares stay cheap. */
+ *  a 4 MB heap. */
 JrpmConfig
 forgeConfig(const Options &opt)
 {
     JrpmConfig cfg = benchConfig(opt);
     if (opt.oracle.empty())
         cfg.oracle.mode = OracleMode::Strict;
-    cfg.sys.memBytes = 8u << 20;
     cfg.vm.heapBytes = 4u << 20;
     // Bound deadlock diagnosis per case (PR 2 watchdog).
     cfg.sys.watchdog.noProgressCycles = 500'000;

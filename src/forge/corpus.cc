@@ -303,7 +303,6 @@ makeCorpusEntry(const ScenarioSpec &spec, bool with_exit)
     if (with_exit) {
         const Workload w = scenarioWorkload(e.spec);
         JrpmConfig cfg;
-        cfg.sys.memBytes = 8u << 20;
         cfg.vm.heapBytes = 4u << 20;
         JrpmSystem sys(w, cfg);
         const RunOutcome seq =

@@ -35,7 +35,6 @@ replayConfig(bool fast_path)
 {
     JrpmConfig cfg;
     cfg.oracle.mode = OracleMode::Strict;
-    cfg.sys.memBytes = 8u << 20;
     cfg.vm.heapBytes = 4u << 20;
     cfg.sys.specMemFastPath = fast_path;
     return cfg;

@@ -547,7 +547,6 @@ TEST(FleetEndToEnd, GuidedFleetMatchesInProcessCampaign)
     // Mirror the bench's forgeConfig() so per-case telemetry (and
     // with it the signatures) matches the workers'.
     cc.base.oracle.mode = OracleMode::Strict;
-    cc.base.sys.memBytes = 8u << 20;
     cc.base.vm.heapBytes = 4u << 20;
     cc.base.sys.watchdog.noProgressCycles = 500'000;
     const forge::CampaignResult ref = forge::runCampaign(cc);

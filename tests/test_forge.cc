@@ -40,7 +40,6 @@ strictConfig()
 {
     JrpmConfig cfg;
     cfg.oracle.mode = OracleMode::Strict;
-    cfg.sys.memBytes = 8u << 20;
     cfg.vm.heapBytes = 4u << 20;
     return cfg;
 }
@@ -516,10 +515,6 @@ TEST(ForgeGuided, GuidedCampaignConvergesOnMoreSignatures)
     cc.axes = forge::parseAxes("baseline,nested,sync,exception");
     cc.forcedSweep = false;
     cc.base = strictConfig();
-    // The strict oracle compares the full memory image per run; a
-    // small image keeps 600 cases inside a tier-1 time budget.
-    cc.base.sys.memBytes = 2u << 20;
-    cc.base.vm.heapBytes = 1u << 20;
     const forge::CampaignResult unguided = forge::runCampaign(cc);
     cc.guided = true;
     const forge::CampaignResult guided = forge::runCampaign(cc);
@@ -556,8 +551,6 @@ TEST(ForgeDistill, MinimalCorpusCoversEveryObservedSignature)
     cc.axes = forge::parseAxes("baseline,nested,sync");
     cc.forcedSweep = false;
     cc.base = strictConfig();
-    cc.base.sys.memBytes = 2u << 20;
-    cc.base.vm.heapBytes = 1u << 20;
     const forge::CampaignResult res = forge::runCampaign(cc);
     ASSERT_TRUE(res.clean()) << res.summary();
 

@@ -36,7 +36,6 @@ strictConfig()
 {
     JrpmConfig cfg;
     cfg.oracle.mode = OracleMode::Strict;
-    cfg.sys.memBytes = 8u << 20;
     cfg.vm.heapBytes = 4u << 20;
     return cfg;
 }
