@@ -2,17 +2,19 @@
  * @file
  * Google-benchmark microbenchmarks of the simulator itself: host
  * cost per simulated cycle in sequential and speculative modes, and
- * microJIT compilation throughput.  These bound how large an input
- * the table/figure harnesses can afford.
+ * microJIT analysis and compilation throughput.  These bound how
+ * large an input the table/figure harnesses can afford.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "common/hostprof.hh"
 #include "common/trace.hh"
+#include "forge/forge.hh"
 #include "workloads/workloads.hh"
 
 namespace jrpm
@@ -192,6 +194,30 @@ BM_MicroJitCompile(benchmark::State &state)
         static_cast<double>(bytecodes), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_MicroJitCompile)->Unit(benchmark::kMicrosecond);
+
+/** The microJIT's analysis alone (verify, inlining, loop discovery)
+ *  over the 26 workloads and 256 forge programs: a return to
+ *  quadratic loop discovery shows up here first. */
+void
+BM_JitLoopAnalysis(benchmark::State &state)
+{
+    std::vector<BcProgram> progs;
+    for (const Workload &w : wl::allWorkloads())
+        progs.push_back(w.program);
+    for (std::uint64_t seed = 1; seed <= 256; ++seed)
+        progs.push_back(forge::render(forge::generate(seed)));
+    std::uint64_t bytecodes = 0;
+    for (auto _ : state) {
+        for (const BcProgram &p : progs) {
+            const Jit jit(p);
+            benchmark::DoNotOptimize(jit.loopInfos().size());
+            bytecodes += jit.bytecodeCount();
+        }
+    }
+    state.counters["bytecodes/s"] = benchmark::Counter(
+        static_cast<double>(bytecodes), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_JitLoopAnalysis)->Unit(benchmark::kMillisecond);
 
 void
 BM_ProfiledSimulation(benchmark::State &state)

@@ -29,6 +29,7 @@ GlobalSlot gSlots[kNumSlots];
 const char *const kNames[kNumSlots] = {
     "pipeline",       // Pipeline
     "jit_compile",    // JitCompile
+    "jit_analyze",    // JitAnalyze
     "machine_run",    // MachineRun
     "seq_dispatch",   // SeqDispatch
     "spec_dispatch",  // SpecDispatch
@@ -57,6 +58,9 @@ const char *const kNames[kNumSlots] = {
 const int kParents[kNumSlots] = {
     -1,                                   // Pipeline
     static_cast<int>(HostSlot::Pipeline), // JitCompile
+    // A JrpmSystem builds its Jit in the constructor, before run()
+    // opens the Pipeline slot.
+    -1,                                   // JitAnalyze
     static_cast<int>(HostSlot::Pipeline), // MachineRun
     static_cast<int>(HostSlot::MachineRun),   // SeqDispatch
     static_cast<int>(HostSlot::MachineRun),   // SpecDispatch

@@ -44,6 +44,7 @@ enum class HostSlot : std::uint8_t
 {
     Pipeline,      ///< whole JrpmSystem::run body
     JitCompile,    ///< compiler passes (profile/analyze/select/emit)
+    JitAnalyze,    ///< Jit constructor: verify, inlining, loop discovery
     MachineRun,    ///< Machine::run main loop
     SeqDispatch,   ///< advanceSequential (event-horizon, sequential)
     SpecDispatch,  ///< advanceSpeculative burst windows
@@ -69,7 +70,7 @@ enum class HostSlot : std::uint8_t
     SvcReply,      ///< response serialization + socket writes
 };
 
-inline constexpr std::size_t kNumSlots = 24;
+inline constexpr std::size_t kNumSlots = 25;
 
 /** Short stable name for a slot ("machine_run", "dep_check", ...). */
 const char *slotName(std::size_t slot);

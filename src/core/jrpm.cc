@@ -38,11 +38,22 @@ sameRequests(const std::vector<StlRequest> &a,
     return true;
 }
 
+/** The Jit is built in the constructor, before run() arms the host
+ *  profiler: arm it here too, so that the JitAnalyze slot counts the
+ *  first pipeline.  Never disarms: a caller may have armed it. */
+const JrpmConfig &
+armHostprof(const JrpmConfig &cfg)
+{
+    if (cfg.obs.hostprofEnabled)
+        hostprof::setEnabled(true);
+    return cfg;
+}
+
 } // namespace
 
 JrpmSystem::JrpmSystem(Workload workload, JrpmConfig config)
     : load(std::move(workload)), cfg(std::move(config)),
-      theJit(load.program, cfg.jit)
+      theJit(load.program, armHostprof(cfg).jit)
 {
     if (load.profileArgs.empty())
         load.profileArgs = load.mainArgs;

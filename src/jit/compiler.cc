@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/hostprof.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "common/trace.hh"
@@ -477,7 +478,7 @@ MethodCompiler::usedOutside(const JitLoop &loop,
     // still dead on loop exit.)
     const auto n = static_cast<std::int32_t>(m.code.size());
     std::vector<std::int32_t> work;
-    std::set<std::int32_t> seen;
+    std::vector<char> seen(m.code.size(), 0);
     for (std::int32_t i : loop.body)
         for (std::int32_t s : bcSuccessors(m, i))
             if (s < n && !loop.body.count(s))
@@ -485,8 +486,9 @@ MethodCompiler::usedOutside(const JitLoop &loop,
     while (!work.empty()) {
         const std::int32_t at = work.back();
         work.pop_back();
-        if (!seen.insert(at).second)
+        if (seen[at])
             continue;
+        seen[at] = 1;
         const BcInst &inst = m.code[at];
         if ((inst.op == Bc::LOAD || inst.op == Bc::IINC) &&
             static_cast<std::uint32_t>(inst.imm) == slot)
@@ -2108,6 +2110,7 @@ MethodCompiler::compile()
 Jit::Jit(const BcProgram &program, const JitConfig &config)
     : prog(program), cfg(config)
 {
+    JRPM_HPROF(JitAnalyze);
     const std::string err = verify(prog);
     if (!err.empty())
         fatal("bytecode verification failed: %s", err.c_str());

@@ -7,16 +7,16 @@
 namespace jrpm
 {
 
-std::vector<std::int32_t>
+BcSuccs
 bcSuccessors(const BcMethod &m, std::int32_t at)
 {
-    std::vector<std::int32_t> out;
+    BcSuccs out;
     const BcInst &inst = m.code[at];
     const auto n = static_cast<std::int32_t>(m.code.size());
     if (bcIsBranch(inst.op))
-        out.push_back(inst.imm);
+        out.to[out.count++] = inst.imm;
     if (!bcIsTerminator(inst.op) && at + 1 < n)
-        out.push_back(at + 1);
+        out.to[out.count++] = at + 1;
     return out;
 }
 
@@ -67,44 +67,79 @@ findLoops(const BcMethod &m, std::int32_t first_loop_id)
     if (n == 0)
         return nest;
 
-    // Reachability from entry (instruction-granularity CFG).
-    std::vector<bool> reachable(n, false);
+    // Flat CFG, built once: the in-range successors of each bytecode.
+    std::vector<BcSuccs> succ(n);
+    for (std::int32_t i = 0; i < n; ++i)
+        for (std::int32_t s : bcSuccessors(m, i))
+            if (s < n)
+                succ[i].to[succ[i].count++] = s;
+
+    // Roots: the entry and every catch handler.  They hang off a
+    // virtual root, so nothing outside a handler dominates it.
+    std::vector<char> isRoot(n, 0);
+    isRoot[0] = 1;
+    for (const auto &c : m.catches)
+        isRoot[c.handler] = 1;
+
+    // Depth-first postorder from the roots.  num[v] is v's
+    // reverse-postorder number: 0 is the virtual root, 1..r the
+    // reachable bytecodes, -1 the unreachable ones.
+    std::vector<std::int32_t> num(n, -1);
+    std::vector<std::int32_t> post;
+    post.reserve(n);
     {
-        std::vector<std::int32_t> work{0};
-        reachable[0] = true;
-        for (const auto &c : m.catches) {
-            if (!reachable[c.handler]) {
-                reachable[c.handler] = true;
-                work.push_back(c.handler);
-            }
-        }
-        while (!work.empty()) {
-            std::int32_t at = work.back();
-            work.pop_back();
-            for (std::int32_t s : bcSuccessors(m, at)) {
-                if (s < n && !reachable[s]) {
-                    reachable[s] = true;
-                    work.push_back(s);
+        std::vector<std::pair<std::int32_t, std::uint32_t>> stack;
+        for (std::int32_t root = 0; root < n; ++root) {
+            if (!isRoot[root] || num[root] == 0)
+                continue;
+            num[root] = 0;
+            stack.push_back({root, 0});
+            while (!stack.empty()) {
+                auto &[v, next] = stack.back();
+                if (next == succ[v].count) {
+                    post.push_back(v);
+                    stack.pop_back();
+                    continue;
+                }
+                const std::int32_t s = succ[v].to[next++];
+                if (num[s] == -1) {
+                    num[s] = 0;
+                    stack.push_back({s, 0});
                 }
             }
         }
     }
-
-    // Predecessors.
-    std::vector<std::vector<std::int32_t>> preds(n);
-    for (std::int32_t i = 0; i < n; ++i) {
-        if (!reachable[i])
-            continue;
-        for (std::int32_t s : bcSuccessors(m, i))
-            if (s < n)
-                preds[s].push_back(i);
+    const auto r = static_cast<std::int32_t>(post.size());
+    std::vector<std::int32_t> node(r + 1, -1); // RPO number -> bytecode
+    for (std::int32_t j = 0; j < r; ++j) {
+        num[post[j]] = r - j;
+        node[r - j] = post[j];
     }
 
-    // Iterative dominators (methods are small; O(n^2) is fine).
+    // Predecessors along reachable edges, CSR: preds[predAt[v] ..
+    // predAt[v + 1]) in ascending source order.
+    std::vector<std::int32_t> predAt(n + 1, 0);
+    for (std::int32_t i = 0; i < n; ++i)
+        if (num[i] > 0)
+            for (std::int32_t s : succ[i])
+                ++predAt[s + 1];
+    for (std::int32_t i = 0; i < n; ++i)
+        predAt[i + 1] += predAt[i];
+    std::vector<std::int32_t> preds(predAt[n]);
+    {
+        std::vector<std::int32_t> fill(predAt.begin(), predAt.end() - 1);
+        for (std::int32_t i = 0; i < n; ++i)
+            if (num[i] > 0)
+                for (std::int32_t s : succ[i])
+                    preds[fill[s]++] = i;
+    }
+
+    // Immediate dominators over RPO numbers (Cooper, Harvey and
+    // Kennedy, "A Simple, Fast Dominance Algorithm"): a dominator
+    // always has the lower RPO number, whatever the bytecode layout.
     constexpr std::int32_t kUndef = -1;
-    std::vector<std::int32_t> idom(n, kUndef);
+    std::vector<std::int32_t> idom(r + 1, kUndef);
     idom[0] = 0;
-    // Catch handlers hang off the entry for domination purposes.
     auto intersect = [&](std::int32_t a, std::int32_t b) {
         while (a != b) {
             while (a > b)
@@ -117,77 +152,86 @@ findLoops(const BcMethod &m, std::int32_t first_loop_id)
     bool changed = true;
     while (changed) {
         changed = false;
-        for (std::int32_t i = 1; i < n; ++i) {
-            if (!reachable[i])
-                continue;
-            std::int32_t nidom = kUndef;
-            for (std::int32_t p : preds[i]) {
+        for (std::int32_t k = 1; k <= r; ++k) {
+            const std::int32_t v = node[k];
+            std::int32_t d = isRoot[v] ? 0 : kUndef;
+            for (std::int32_t j = predAt[v]; j < predAt[v + 1]; ++j) {
+                const std::int32_t p = num[preds[j]];
                 if (idom[p] == kUndef)
                     continue;
-                nidom = nidom == kUndef ? p : intersect(nidom, p);
+                d = d == kUndef ? p : intersect(p, d);
             }
-            if (nidom == kUndef) {
-                // Only reachable through a catch edge: dominated by
-                // the entry.
-                nidom = 0;
-            }
-            if (idom[i] != nidom) {
-                idom[i] = nidom;
+            if (idom[k] != d) {
+                idom[k] = d;
                 changed = true;
             }
         }
     }
 
+    // Dominator-tree intervals: a dominates b iff b's preorder number
+    // falls in [pre[a], pre[a] + size[a]).  A parent's RPO number is
+    // below its children's, so one pass each way suffices.
+    std::vector<std::int32_t> size(r + 1, 1), pre(r + 1, 0),
+        nextPre(r + 1, 1);
+    for (std::int32_t k = r; k >= 1; --k)
+        size[idom[k]] += size[k];
+    for (std::int32_t k = 1; k <= r; ++k) {
+        pre[k] = nextPre[idom[k]];
+        nextPre[idom[k]] += size[k];
+        nextPre[k] = pre[k] + 1;
+    }
     auto dominates = [&](std::int32_t a, std::int32_t b) {
-        while (true) {
-            if (a == b)
-                return true;
-            if (b == 0)
-                return false;
-            std::int32_t next = idom[b];
-            if (next == b || next == kUndef)
-                return false;
-            b = next;
-        }
+        const std::int32_t ka = num[a], kb = num[b];
+        return pre[ka] <= pre[kb] && pre[kb] < pre[ka] + size[ka];
     };
 
-    // Back edges and natural loops; merge loops sharing a header.
+    // Back edges, grouped by header in order of discovery.
     std::vector<JitLoop> loops;
+    std::vector<std::int32_t> loopOf(n, -1); // header -> loops index
     for (std::int32_t i = 0; i < n; ++i) {
-        if (!reachable[i])
+        if (num[i] <= 0)
             continue;
-        for (std::int32_t h : bcSuccessors(m, i)) {
-            if (h >= n || !dominates(h, i))
+        for (std::int32_t h : succ[i]) {
+            if (!dominates(h, i))
                 continue;
-            // Natural loop of back edge i -> h.
-            std::set<std::int32_t> body{h};
-            std::vector<std::int32_t> work;
-            if (i != h) {
-                body.insert(i);
-                work.push_back(i);
+            if (loopOf[h] < 0) {
+                loopOf[h] = static_cast<std::int32_t>(loops.size());
+                loops.emplace_back().header = h;
             }
-            while (!work.empty()) {
-                std::int32_t at = work.back();
-                work.pop_back();
-                for (std::int32_t p : preds[at])
-                    if (body.insert(p).second)
-                        work.push_back(p);
-            }
-            JitLoop *existing = nullptr;
-            for (auto &l : loops)
-                if (l.header == h)
-                    existing = &l;
-            if (existing) {
-                existing->body.insert(body.begin(), body.end());
-                existing->latches.push_back(i);
-            } else {
-                JitLoop l;
-                l.header = h;
-                l.body = std::move(body);
-                l.latches.push_back(i);
-                loops.push_back(std::move(l));
+            loops[loopOf[h]].latches.push_back(i);
+        }
+    }
+
+    // Natural-loop bodies: the header plus everything that reaches a
+    // latch without passing the header.  One walk per header gives
+    // the union over its back edges.
+    std::vector<std::int32_t> mark(n, -1), members, work;
+    for (std::int32_t li = 0;
+         li < static_cast<std::int32_t>(loops.size()); ++li) {
+        JitLoop &l = loops[li];
+        members.assign(1, l.header);
+        mark[l.header] = li;
+        for (std::int32_t latch : l.latches) {
+            if (mark[latch] != li) {
+                mark[latch] = li;
+                members.push_back(latch);
+                work.push_back(latch);
             }
         }
+        while (!work.empty()) {
+            const std::int32_t at = work.back();
+            work.pop_back();
+            for (std::int32_t j = predAt[at]; j < predAt[at + 1]; ++j) {
+                const std::int32_t p = preds[j];
+                if (mark[p] != li) {
+                    mark[p] = li;
+                    members.push_back(p);
+                    work.push_back(p);
+                }
+            }
+        }
+        std::sort(members.begin(), members.end());
+        l.body.insert(members.begin(), members.end());
     }
 
     // Sort outermost-first (larger bodies first), assign ids and

@@ -51,16 +51,32 @@ struct LoopNest
 std::string describeLoop(const JitLoop &loop);
 
 /**
- * Find the natural loops of a method.
+ * Find the natural loops of a method: back edges are CFG edges whose
+ * target dominates their source, with the entry and every catch
+ * handler as roots; loops sharing a header merge.  Dominators come
+ * from the Cooper-Harvey-Kennedy iteration over reverse-postorder
+ * numbers (two passes on structured code), dominance queries are
+ * O(1) from dominator-tree intervals.
  * @param method       the bytecode
  * @param first_loop_id ids are assigned sequentially from here
  */
 LoopNest findLoops(const BcMethod &method,
                    std::int32_t first_loop_id);
 
+/** The at most two successors of one bytecode (branch target first,
+ *  then the fall-through): a fixed-capacity range, so CFG walks
+ *  allocate nothing. */
+struct BcSuccs
+{
+    std::int32_t to[2] = {0, 0};
+    std::uint32_t count = 0;
+
+    const std::int32_t *begin() const { return to; }
+    const std::int32_t *end() const { return to + count; }
+};
+
 /** Successor bytecode indices of instruction @p at. */
-std::vector<std::int32_t> bcSuccessors(const BcMethod &method,
-                                       std::int32_t at);
+BcSuccs bcSuccessors(const BcMethod &method, std::int32_t at);
 
 } // namespace jrpm
 

@@ -4,12 +4,25 @@
  * three modes, executed on the machine with the VM runtime, checked
  * for value-correctness and for the expected speculative behaviour
  * (loop discovery, classification, violation-freedom of optimized
- * decompositions).
+ * decompositions).  Loop discovery is also checked against two
+ * references: brute-force dominance on hand-built CFGs, and the
+ * original quadratic findLoops on every generated, workload and
+ * corpus program.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "core/jrpm.hh"
+#include "forge/corpus.hh"
+#include "forge/forge.hh"
+#include "jit/loops.hh"
+#include "workloads/workloads.hh"
 
 namespace jrpm
 {
@@ -391,6 +404,439 @@ TEST(JitTls, ZeroIterationAndOneIterationLoops)
         ASSERT_TRUE(out.halted) << "n=" << n;
         EXPECT_EQ(out.exitValue, expectedFillSum(n)) << "n=" << n;
     }
+}
+
+// ---------------------------------------------------------------------
+// Loop discovery against references.
+// ---------------------------------------------------------------------
+
+/**
+ * The original findLoops (iterative dominators intersected over
+ * bytecode indices, dominance by idom-chain walks), kept verbatim as
+ * the reference that the linear-time version must reproduce.
+ */
+LoopNest
+legacyFindLoops(const BcMethod &m, std::int32_t first_loop_id)
+{
+    const auto n = static_cast<std::int32_t>(m.code.size());
+    LoopNest nest;
+    if (n == 0)
+        return nest;
+
+    // Reachability from entry (instruction-granularity CFG).
+    std::vector<bool> reachable(n, false);
+    {
+        std::vector<std::int32_t> work{0};
+        reachable[0] = true;
+        for (const auto &c : m.catches) {
+            if (!reachable[c.handler]) {
+                reachable[c.handler] = true;
+                work.push_back(c.handler);
+            }
+        }
+        while (!work.empty()) {
+            std::int32_t at = work.back();
+            work.pop_back();
+            for (std::int32_t s : bcSuccessors(m, at)) {
+                if (s < n && !reachable[s]) {
+                    reachable[s] = true;
+                    work.push_back(s);
+                }
+            }
+        }
+    }
+
+    // Predecessors.
+    std::vector<std::vector<std::int32_t>> preds(n);
+    for (std::int32_t i = 0; i < n; ++i) {
+        if (!reachable[i])
+            continue;
+        for (std::int32_t s : bcSuccessors(m, i))
+            if (s < n)
+                preds[s].push_back(i);
+    }
+
+    // Iterative dominators (methods are small; O(n^2) is fine).
+    constexpr std::int32_t kUndef = -1;
+    std::vector<std::int32_t> idom(n, kUndef);
+    idom[0] = 0;
+    // Catch handlers hang off the entry for domination purposes.
+    auto intersect = [&](std::int32_t a, std::int32_t b) {
+        while (a != b) {
+            while (a > b)
+                a = idom[a];
+            while (b > a)
+                b = idom[b];
+        }
+        return a;
+    };
+    bool changed = true;
+    while (changed) {
+        changed = false;
+        for (std::int32_t i = 1; i < n; ++i) {
+            if (!reachable[i])
+                continue;
+            std::int32_t nidom = kUndef;
+            for (std::int32_t p : preds[i]) {
+                if (idom[p] == kUndef)
+                    continue;
+                nidom = nidom == kUndef ? p : intersect(nidom, p);
+            }
+            if (nidom == kUndef) {
+                // Only reachable through a catch edge: dominated by
+                // the entry.
+                nidom = 0;
+            }
+            if (idom[i] != nidom) {
+                idom[i] = nidom;
+                changed = true;
+            }
+        }
+    }
+
+    auto dominates = [&](std::int32_t a, std::int32_t b) {
+        while (true) {
+            if (a == b)
+                return true;
+            if (b == 0)
+                return false;
+            std::int32_t next = idom[b];
+            if (next == b || next == kUndef)
+                return false;
+            b = next;
+        }
+    };
+
+    // Back edges and natural loops; merge loops sharing a header.
+    std::vector<JitLoop> loops;
+    for (std::int32_t i = 0; i < n; ++i) {
+        if (!reachable[i])
+            continue;
+        for (std::int32_t h : bcSuccessors(m, i)) {
+            if (h >= n || !dominates(h, i))
+                continue;
+            // Natural loop of back edge i -> h.
+            std::set<std::int32_t> body{h};
+            std::vector<std::int32_t> work;
+            if (i != h) {
+                body.insert(i);
+                work.push_back(i);
+            }
+            while (!work.empty()) {
+                std::int32_t at = work.back();
+                work.pop_back();
+                for (std::int32_t p : preds[at])
+                    if (body.insert(p).second)
+                        work.push_back(p);
+            }
+            JitLoop *existing = nullptr;
+            for (auto &l : loops)
+                if (l.header == h)
+                    existing = &l;
+            if (existing) {
+                existing->body.insert(body.begin(), body.end());
+                existing->latches.push_back(i);
+            } else {
+                JitLoop l;
+                l.header = h;
+                l.body = std::move(body);
+                l.latches.push_back(i);
+                loops.push_back(std::move(l));
+            }
+        }
+    }
+
+    // Sort outermost-first (larger bodies first), assign ids and
+    // parents.
+    std::sort(loops.begin(), loops.end(),
+              [](const JitLoop &a, const JitLoop &b) {
+                  if (a.body.size() != b.body.size())
+                      return a.body.size() > b.body.size();
+                  return a.header < b.header;
+              });
+    for (std::size_t i = 0; i < loops.size(); ++i)
+        loops[i].loopId = first_loop_id +
+                          static_cast<std::int32_t>(i);
+    for (std::size_t i = 0; i < loops.size(); ++i) {
+        for (std::size_t j = 0; j < i; ++j) {
+            // The closest enclosing loop is the smallest superset.
+            const bool contains = std::includes(
+                loops[j].body.begin(), loops[j].body.end(),
+                loops[i].body.begin(), loops[i].body.end()) &&
+                loops[j].body.size() > loops[i].body.size();
+            if (contains) {
+                loops[i].parent = loops[j].loopId;
+                loops[i].depth = loops[j].depth + 1;
+            }
+        }
+    }
+
+    nest.loops = std::move(loops);
+    return nest;
+}
+
+/** Bytecodes reachable from the entry and the catch handlers when
+ *  @p removed (-1 for none) is taken out of the CFG. */
+std::vector<bool>
+reachableWithout(const BcMethod &m, std::int32_t removed)
+{
+    const auto n = static_cast<std::int32_t>(m.code.size());
+    std::vector<bool> seen(n, false);
+    std::vector<std::int32_t> work;
+    auto visit = [&](std::int32_t v) {
+        if (v < n && v != removed && !seen[v]) {
+            seen[v] = true;
+            work.push_back(v);
+        }
+    };
+    visit(0);
+    for (const auto &c : m.catches)
+        visit(c.handler);
+    while (!work.empty()) {
+        const std::int32_t at = work.back();
+        work.pop_back();
+        for (std::int32_t s : bcSuccessors(m, at))
+            visit(s);
+    }
+    return seen;
+}
+
+/** One loop of the brute-force reference, keyed by its header. */
+struct RefLoop
+{
+    std::vector<std::int32_t> latches;
+    std::set<std::int32_t> body;
+};
+
+/**
+ * Natural loops by definition: a dominates b iff b is unreachable
+ * from the entry and the catch handlers once a is removed; an edge
+ * i -> h is a back edge iff h dominates i; a header's body is the
+ * header plus everything that reaches one of its latches without
+ * passing it.
+ */
+std::map<std::int32_t, RefLoop>
+bruteForceLoops(const BcMethod &m)
+{
+    const auto n = static_cast<std::int32_t>(m.code.size());
+    const std::vector<bool> reachable = reachableWithout(m, -1);
+    std::map<std::int32_t, RefLoop> out;
+    for (std::int32_t i = 0; i < n; ++i) {
+        if (!reachable[i])
+            continue;
+        for (std::int32_t h : bcSuccessors(m, i)) {
+            if (h >= n || reachableWithout(m, h)[i])
+                continue;
+            RefLoop &l = out[h];
+            l.latches.push_back(i);
+            l.body.insert(h);
+            std::vector<std::int32_t> work;
+            if (l.body.insert(i).second)
+                work.push_back(i);
+            while (!work.empty()) {
+                const std::int32_t at = work.back();
+                work.pop_back();
+                for (std::int32_t p = 0; p < n; ++p) {
+                    if (!reachable[p])
+                        continue;
+                    for (std::int32_t s : bcSuccessors(m, p))
+                        if (s == at && l.body.insert(p).second)
+                            work.push_back(p);
+                }
+            }
+        }
+    }
+    return out;
+}
+
+/** findLoops' headers, latches and bodies equal the reference's. */
+void
+expectMatchesBruteForce(const BcMethod &m, const std::string &what)
+{
+    const LoopNest nest = findLoops(m, 0);
+    const std::map<std::int32_t, RefLoop> ref = bruteForceLoops(m);
+    ASSERT_EQ(nest.loops.size(), ref.size()) << what;
+    for (const JitLoop &l : nest.loops) {
+        const auto it = ref.find(l.header);
+        ASSERT_NE(it, ref.end()) << what << ": header " << l.header;
+        EXPECT_EQ(l.latches, it->second.latches)
+            << what << ": header " << l.header;
+        EXPECT_EQ(l.body, it->second.body)
+            << what << ": header " << l.header;
+    }
+}
+
+/** A method from (op, imm) pairs; every other field is irrelevant to
+ *  loop discovery. */
+BcMethod
+cfgMethod(std::vector<BcInst> code, std::vector<BcCatch> catches = {})
+{
+    BcMethod m;
+    m.name = "cfg";
+    m.code = std::move(code);
+    m.catches = std::move(catches);
+    return m;
+}
+
+constexpr BcInst kNop{Bc::BCNOP, 0, 0};
+
+/**
+ * A dominator laid out after the code it dominates: 12 is entered
+ * from 3 and dominates 8, 9, 10 and 13, but has the higher bytecode
+ * index.  Intersecting idoms by bytecode index loses the back edge
+ * 10 -> 12; reverse-postorder numbers keep it.
+ */
+BcMethod
+dominatorAfterDominatedMethod()
+{
+    std::vector<BcInst> code(14, kNop);
+    code[0] = {Bc::GOTO, 3, 0};
+    code[3] = {Bc::GOTO, 12, 0};
+    code[8] = {Bc::GOTO, 10, 0};
+    code[10] = {Bc::GOTO, 12, 0};
+    code[12] = {Bc::IFEQ, 8, 0};
+    code[13] = {Bc::GOTO, 9, 0};
+    return cfgMethod(std::move(code));
+}
+
+TEST(LoopDiscovery, DominatorAfterDominatedCodeStillFindsTheLoop)
+{
+    const BcMethod m = dominatorAfterDominatedMethod();
+    const LoopNest nest = findLoops(m, 0);
+    ASSERT_EQ(nest.loops.size(), 1u);
+    const JitLoop &l = nest.loops[0];
+    EXPECT_EQ(l.header, 12);
+    EXPECT_EQ(l.latches, std::vector<std::int32_t>{10});
+    EXPECT_EQ(l.body, (std::set<std::int32_t>{8, 9, 10, 12, 13}));
+    EXPECT_EQ(l.parent, -1);
+    EXPECT_EQ(l.depth, 1u);
+    expectMatchesBruteForce(m, "dominator after dominated");
+    // The layout the bytecode-index intersect got wrong.
+    EXPECT_TRUE(legacyFindLoops(m, 0).loops.empty());
+}
+
+TEST(LoopDiscovery, HandBuiltCfgsMatchBruteForceDominance)
+{
+    // Self-loop: 1 -> 1.
+    expectMatchesBruteForce(
+        cfgMethod({kNop, {Bc::IFEQ, 1, 0}, {Bc::RET, 0, 0}}),
+        "self-loop");
+    // A loop reachable only through a catch handler (2..3).
+    expectMatchesBruteForce(
+        cfgMethod({kNop, {Bc::RET, 0, 0}, kNop, {Bc::IFEQ, 2, 0},
+                   {Bc::RET, 0, 0}},
+                  {BcCatch{0, 1, 2, -1}}),
+        "handler-only loop");
+    // Unreachable code after a GOTO, itself a cycle (3 <-> 4).
+    expectMatchesBruteForce(
+        cfgMethod({kNop, {Bc::IFEQ, 0, 0}, {Bc::GOTO, 5, 0}, kNop,
+                   {Bc::GOTO, 3, 0}, {Bc::RET, 0, 0}}),
+        "unreachable after goto");
+    // Two latches (2 and 3) sharing header 1.
+    expectMatchesBruteForce(
+        cfgMethod({kNop, kNop, {Bc::IFEQ, 1, 0}, {Bc::IFNE, 1, 0},
+                   {Bc::RET, 0, 0}}),
+        "two latches");
+    expectMatchesBruteForce(dominatorAfterDominatedMethod(),
+                            "dominator after dominated");
+    // Irreducible: the cycle 1 <-> 2 is entered at both, so neither
+    // dominates the other and there is no natural loop.
+    const BcMethod irreducible = cfgMethod(
+        {{Bc::IFEQ, 2, 0}, kNop, {Bc::IFNE, 1, 0}, {Bc::RET, 0, 0}});
+    EXPECT_TRUE(findLoops(irreducible, 0).loops.empty());
+    expectMatchesBruteForce(irreducible, "irreducible");
+}
+
+TEST(LoopDiscovery, NestedBottomTestedLoops)
+{
+    // while-loops laid out test-last, the inner inside the outer:
+    //   0: goto 6 | 1: goto 3 | 2: inner body | 3: if -> 2
+    //   4, 5: outer tail | 6: if -> 1 | 7: ret
+    const BcMethod m = cfgMethod(
+        {{Bc::GOTO, 6, 0}, {Bc::GOTO, 3, 0}, kNop, {Bc::IFEQ, 2, 0},
+         kNop, kNop, {Bc::IFNE, 1, 0}, {Bc::RET, 0, 0}});
+    expectMatchesBruteForce(m, "nested bottom-tested");
+    const LoopNest nest = findLoops(m, 7);
+    ASSERT_EQ(nest.loops.size(), 2u);
+    const JitLoop &outer = nest.loops[0], &inner = nest.loops[1];
+    EXPECT_EQ(outer.loopId, 7);
+    EXPECT_EQ(outer.header, 6);
+    EXPECT_EQ(outer.body, (std::set<std::int32_t>{1, 2, 3, 4, 5, 6}));
+    EXPECT_EQ(outer.parent, -1);
+    EXPECT_EQ(outer.depth, 1u);
+    EXPECT_EQ(inner.loopId, 8);
+    EXPECT_EQ(inner.header, 3);
+    EXPECT_EQ(inner.latches, std::vector<std::int32_t>{2});
+    EXPECT_EQ(inner.body, (std::set<std::int32_t>{2, 3}));
+    EXPECT_EQ(inner.parent, 7);
+    EXPECT_EQ(inner.depth, 2u);
+}
+
+/** Every field of two nests is identical. */
+void
+expectSameNest(const LoopNest &got, const LoopNest &want,
+               const std::string &what)
+{
+    ASSERT_EQ(got.loops.size(), want.loops.size()) << what;
+    for (std::size_t i = 0; i < got.loops.size(); ++i) {
+        const JitLoop &g = got.loops[i], &w = want.loops[i];
+        EXPECT_EQ(g.loopId, w.loopId) << what << " loop " << i;
+        EXPECT_EQ(g.header, w.header) << what << " loop " << i;
+        EXPECT_EQ(g.parent, w.parent) << what << " loop " << i;
+        EXPECT_EQ(g.depth, w.depth) << what << " loop " << i;
+        EXPECT_EQ(g.body, w.body) << what << " loop " << i;
+        EXPECT_EQ(g.latches, w.latches) << what << " loop " << i;
+    }
+}
+
+/** Both the program as written and the Jit's inlined copy of it. */
+void
+expectSameAsLegacy(const BcProgram &prog, const std::string &what)
+{
+    const Jit jit(prog);
+    for (const BcProgram *p : {&prog, &jit.program()}) {
+        std::int32_t next_id = 3;
+        for (const BcMethod &m : p->methods) {
+            const LoopNest want = legacyFindLoops(m, next_id);
+            expectSameNest(findLoops(m, next_id), want,
+                           what + " " + m.name);
+            next_id += static_cast<std::int32_t>(want.loops.size());
+        }
+    }
+}
+
+TEST(LoopDiscovery, MatchesLegacyOnForgeWorkloadsAndCorpus)
+{
+    for (std::uint64_t seed = 1; seed <= 2000; ++seed)
+        expectSameAsLegacy(forge::render(forge::generate(seed)),
+                           "forge seed " + std::to_string(seed));
+
+    const std::vector<Workload> suite = wl::allWorkloads();
+    EXPECT_EQ(suite.size(), 26u);
+    for (const Workload &w : suite)
+        expectSameAsLegacy(w.program, w.name);
+
+    const std::vector<std::string> files =
+        forge::listCorpus(JRPM_FORGE_CORPUS_DIR);
+    ASSERT_GE(files.size(), 10u);
+    for (const std::string &path : files) {
+        forge::CorpusEntry e;
+        std::string err;
+        ASSERT_TRUE(forge::readCorpusEntry(path, e, &err)) << err;
+        expectSameAsLegacy(forge::render(e.spec), path);
+    }
+}
+
+TEST(LoopDiscovery, MatchesBruteForceOnWorkloads)
+{
+    for (const Workload &w : wl::allWorkloads())
+        for (const BcMethod &m : w.program.methods)
+            expectMatchesBruteForce(m, w.name + " " + m.name);
+    for (std::uint64_t seed = 1; seed <= 200; ++seed)
+        for (const BcMethod &m :
+             forge::render(forge::generate(seed)).methods)
+            expectMatchesBruteForce(
+                m, "forge seed " + std::to_string(seed));
 }
 
 } // namespace

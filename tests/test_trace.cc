@@ -876,6 +876,30 @@ TEST(HostProf, NestedScopesSplitSelfAndChildTime)
     hostprof::reset();
 }
 
+TEST(HostProf, DefaultSystemLeavesProfilerStateAlone)
+{
+    hostprof::reset();
+    hostprof::setEnabled(false);
+    Workload w = wl::workloadByName("IDEA");
+    {
+        JrpmSystem plain(w); // profiler off: analysis not timed
+    }
+    hostprof::flushThread();
+    EXPECT_EQ(slotByName(hostprof::snapshot(), "jit_analyze").count, 0u);
+
+    // A caller that armed the profiler keeps it armed across a
+    // system built with the default (off) configuration.
+    hostprof::setEnabled(true);
+    {
+        JrpmSystem plain(w);
+    }
+    EXPECT_TRUE(hostprof::enabled());
+    hostprof::setEnabled(false);
+    hostprof::flushThread();
+    EXPECT_EQ(slotByName(hostprof::snapshot(), "jit_analyze").count, 1u);
+    hostprof::reset();
+}
+
 TEST(HostProf, DisabledTimersRecordNothing)
 {
     hostprof::reset();
@@ -910,11 +934,18 @@ TEST(HostProf, PipelineAttributionCoversRunWallTime)
     hostprof::setEnabled(false);
     EXPECT_TRUE(rep.tls.halted);
 
+    // The constructor's Jit analysis runs before run(), outside the
+    // pipeline slot, and is counted for this first pipeline too.
+    const auto snap = hostprof::snapshot();
+    EXPECT_EQ(slotByName(snap, "jit_analyze").count, 1u);
+    EXPECT_EQ(slotByName(snap, "jit_analyze").parent, -1);
+
     double pipeline = 0.0, sumSelf = 0.0;
-    for (const auto &s : hostprof::snapshot()) {
+    for (const auto &s : snap) {
         if (s.name == "pipeline")
             pipeline = s.totalSec;
-        sumSelf += s.selfSec;
+        if (s.name != "jit_analyze")
+            sumSelf += s.selfSec;
     }
     // The observatory's acceptance bar: attributed host time covers
     // at least 95% of the measured wall time of run().
