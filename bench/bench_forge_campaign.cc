@@ -31,12 +31,13 @@
  *  --emit-starter=<dir>  write the hand-minimized starter corpus
  *                        (one scenario per stress axis + one mixed).
  *
- *  --diff-fastpath     speculative fast-path equivalence campaign:
- *                      run every scenario through the pipeline twice
- *                      (sys.specMemFastPath forced on and off) and
- *                      require semantically identical outcomes —
- *                      cycles, Fig. 10 buckets, violations, VM
- *                      output, and the strict oracle's memory
+ *  --diff-fastpath     fast-path equivalence campaign: run every
+ *                      scenario through the pipeline twice (default
+ *                      dispatch and sys.referenceStep, every cycle
+ *                      through Machine::step()) and require
+ *                      semantically identical outcomes for all four
+ *                      runs of the pipeline — cycles, every ExecStats
+ *                      field, VM output, and the oracle's memory
  *                      checksum.  Exit 1 on any mismatch.
  *
  *  --fleet             run the campaign as a crash-isolated fleet:

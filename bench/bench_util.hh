@@ -23,8 +23,7 @@
  *   --chaos-kill-ms=<n>  fleet self-test worker killer
  *   --forensics=<dir>    crash records + partial telemetry (fleet)
  *   --no-forced-sweep    skip the per-loop forced speculation pass
- *   --spec-fastpath=on|off  force the speculative memory fast path
- *   --diff-fastpath      fast-path on/off equivalence campaign
+ *   --diff-fastpath      default vs reference-step equivalence campaign
  *   --guided             coverage-guided generation (forge campaign)
  *   --guided-batch=<n>   cases per guided weight-update batch
  *   --distill=<dir>      distill the campaign to a signature corpus
@@ -80,11 +79,8 @@ struct Options
     std::string workerReplay;    ///< --worker-replay=<file>
     std::string forensics;       ///< --forensics=<dir>
     bool noForcedSweep = false;  ///< --no-forced-sweep
-    /** --spec-fastpath=on|off: force the speculative memory fast
-     *  path ("" = the SystemConfig default). */
-    std::string specFastPath;
-    /** --diff-fastpath: fast-path on/off equivalence campaign
-     *  (bench_forge_campaign). */
+    /** --diff-fastpath: default vs SystemConfig::referenceStep
+     *  equivalence campaign (bench_forge_campaign). */
     bool diffFastPath = false;
     // Coverage-guided forge flags (bench_forge_campaign).
     bool guided = false;            ///< --guided

@@ -243,17 +243,15 @@ def campaign_sections(a):
         out.append("<h3>Per-axis breakdown</h3>")
         out.append("<table><tr><th>axis</th><th>cases</th>"
                    "<th>speedup p50</th><th>speedup p90</th>"
-                   "<th>violations p90</th><th>slow steps p90</th>"
-                   "</tr>")
+                   "<th>violations p90</th></tr>")
         for axis, d in a["perAxis"].items():
             out.append(
                 "<tr><td>%s</td><td>%s</td><td>%s</td><td>%s</td>"
-                "<td>%s</td><td>%s</td></tr>" % (
+                "<td>%s</td></tr>" % (
                     esc(axis), fmt_num(d.get("cases", 0)),
                     fmt_num(d["speedup"]["p50"]),
                     fmt_num(d["speedup"]["p90"]),
-                    fmt_num(d["violations"]["p90"]),
-                    fmt_num(d["specSlowSteps"]["p90"])))
+                    fmt_num(d["violations"]["p90"])))
         out.append("</table>")
     if "squashCauses" in a:
         out.append(tally_bars(a["squashCauses"],

@@ -12,7 +12,7 @@ namespace hostprof
 {
 
 std::atomic<bool> gEnabled{false};
-thread_local ThreadTable tTable;
+thread_local constinit ThreadTable tTable;
 
 namespace
 {
@@ -32,8 +32,6 @@ const char *const kNames[kNumSlots] = {
     "jit_analyze",    // JitAnalyze
     "machine_run",    // MachineRun
     "seq_dispatch",   // SeqDispatch
-    "spec_dispatch",  // SpecDispatch
-    "event_horizon",  // EventHorizon
     "step_exact",     // StepExact
     "forward_scan",   // ForwardScan
     "dep_check",      // DepCheck
@@ -46,7 +44,6 @@ const char *const kNames[kNumSlots] = {
     "oracle_check",   // OracleCheck
     "metrics_publish",// MetricsPublish
     "sig_check",      // SigCheck
-    "spec_fast_retire", // SpecFastRetire
     "svc_accept",     // SvcAccept
     "svc_parse",      // SvcParse
     "svc_schedule",   // SvcSchedule
@@ -63,8 +60,6 @@ const int kParents[kNumSlots] = {
     -1,                                   // JitAnalyze
     static_cast<int>(HostSlot::Pipeline), // MachineRun
     static_cast<int>(HostSlot::MachineRun),   // SeqDispatch
-    static_cast<int>(HostSlot::MachineRun),   // SpecDispatch
-    static_cast<int>(HostSlot::MachineRun),   // EventHorizon
     static_cast<int>(HostSlot::MachineRun),   // StepExact
     static_cast<int>(HostSlot::StepExact),    // ForwardScan
     static_cast<int>(HostSlot::StepExact),    // DepCheck
@@ -77,7 +72,6 @@ const int kParents[kNumSlots] = {
     static_cast<int>(HostSlot::Pipeline),     // OracleCheck
     static_cast<int>(HostSlot::Pipeline),     // MetricsPublish
     static_cast<int>(HostSlot::StepExact),    // SigCheck
-    static_cast<int>(HostSlot::SpecDispatch), // SpecFastRetire
     // The service slots are display roots: accept/parse/schedule/
     // reply run on the event thread, svc_run on pool workers (the
     // whole Pipeline hierarchy nests under it dynamically).

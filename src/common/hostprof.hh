@@ -15,8 +15,8 @@
  * Nesting is tracked per thread: a slot's "child" time is the time
  * spent in slots opened while it was the innermost one, so
  * self = total - child is an honest exclusive time even though a slot
- * (say ForwardScan) can run under different parents (StepExact during
- * cycle-exact windows, SpecDispatch during bursts).
+ * (say CacheModel) can run under different parents (StepExact on the
+ * per-cycle path, SeqDispatch during sequential bursts).
  */
 
 #ifndef JRPM_COMMON_HOSTPROF_HH
@@ -47,9 +47,7 @@ enum class HostSlot : std::uint8_t
     JitAnalyze,    ///< Jit constructor: verify, inlining, loop discovery
     MachineRun,    ///< Machine::run main loop
     SeqDispatch,   ///< advanceSequential (event-horizon, sequential)
-    SpecDispatch,  ///< advanceSpeculative burst windows
-    EventHorizon,  ///< speculative window classification + accounting
-    StepExact,     ///< cycle-exact step() fallbacks
+    StepExact,     ///< per-cycle step() runs (speculation, reference)
     ForwardScan,   ///< doLoad store-buffer overlay / forwarding scan
     DepCheck,      ///< doStore RAW broadcast over spec tags
     Commit,        ///< commitThread (drain + retire)
@@ -61,7 +59,6 @@ enum class HostSlot : std::uint8_t
     OracleCheck,   ///< oracle comparison / divergence checks
     MetricsPublish,///< metrics/trace publication
     SigCheck,      ///< write/read-set signature membership probes
-    SpecFastRetire,///< speculative memory ops retired in-window
     // Jrpm-as-a-service request path (src/service/).
     SvcAccept,     ///< accepting connections / socket reads
     SvcParse,      ///< frame extraction + request decode
@@ -70,7 +67,7 @@ enum class HostSlot : std::uint8_t
     SvcReply,      ///< response serialization + socket writes
 };
 
-inline constexpr std::size_t kNumSlots = 25;
+inline constexpr std::size_t kNumSlots = 22;
 
 /** Short stable name for a slot ("machine_run", "dep_check", ...). */
 const char *slotName(std::size_t slot);
@@ -115,7 +112,11 @@ struct ThreadTable
     int current = -1;  ///< innermost open slot, -1 when none
 };
 
-extern thread_local ThreadTable tTable;
+/** constinit: other translation units reach the table directly, not
+ *  through a TLS init wrapper.  The wrapper's test of the absent init
+ *  function left the flags UBSan's null check read once the linker
+ *  relaxed the address `add` to `lea` (a false "null ThreadTable"). */
+extern thread_local constinit ThreadTable tTable;
 
 /** Read the timestamp counter (or a steady-clock fallback). */
 inline std::uint64_t

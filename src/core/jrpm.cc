@@ -100,6 +100,7 @@ JrpmSystem::runOn(Machine &m, const std::vector<Word> &args)
     out.exitValue = m.exitValue();
     out.cycles = m.now();
     out.insts = m.instCount();
+    out.steps = m.stepCount();
     out.stats = m.stats();
     out.stl = m.stlStats();
     out.vm = vm.stats();

@@ -128,6 +128,9 @@ struct RunOutcome
     Word exitValue = 0;
     std::uint64_t cycles = 0;
     std::uint64_t insts = 0;
+    /** Cycles run through Machine::step() (host-side dispatch shape,
+     *  not simulated behaviour). */
+    std::uint64_t steps = 0;
     ExecStats stats;
     StlStatsMap stl;
     VmStats vm;

@@ -81,24 +81,18 @@ std::string
 telemetryJson(const ExecStats &st)
 {
     std::string j = strfmt(
-        "{\"specWindows\":%" PRIu64 ",\"specWindowInsts\":%" PRIu64
-        ",\"specSlowSteps\":%" PRIu64 ",\"specFastMem\":%" PRIu64
-        ",\"sigHits\":%" PRIu64 ",\"sigFalsePositives\":%" PRIu64
+        "{\"sigHits\":%" PRIu64 ",\"sigFalsePositives\":%" PRIu64
         ",\"forwardedLoads\":%" PRIu64
         ",\"commits\":%" PRIu64 ",\"stlEntries\":%" PRIu64
         ",\"overflowStalls\":%" PRIu64 ",",
-        st.burstSpans.count, st.burstSpans.sum, st.specSlowSteps,
-        st.specFastMem, st.sigHits, st.sigFalsePositives,
-        st.forwardedLoads, st.commits, st.stlEntries,
-        st.bufferOverflowStalls);
+        st.sigHits, st.sigFalsePositives, st.forwardedLoads, st.commits,
+        st.stlEntries, st.bufferOverflowStalls);
     j += strfmt("\"squashCauses\":%s,",
                 causeMapJson(st.squashCauses, squashCauseName)
                     .c_str());
     j += strfmt("\"violationsByClass\":%s,",
                 causeMapJson(st.violationsByClass, addrClassName)
                     .c_str());
-    j += strfmt("\"burstSpans\":%s,",
-                spanHistJson(st.burstSpans).c_str());
     j += strfmt("\"forwardDistance\":%s,",
                 spanHistJson(st.forwardDistance).c_str());
     j += strfmt("\"storeBufOccupancy\":%s}",
@@ -126,12 +120,10 @@ loopJson(std::int32_t loop_id, const StlRuntimeStats &ls)
         "{\"loopId\":%d,\"entries\":%" PRIu64 ",\"commits\":%" PRIu64
         ",\"violations\":%" PRIu64 ",\"cyclesInside\":%" PRIu64
         ",\"overflowStalls\":%" PRIu64 ",\"soloEntries\":%" PRIu64
-        ",\"slowSteps\":%" PRIu64 ",\"specFastMem\":%" PRIu64
         ",\"sigHits\":%" PRIu64 ",\"sigFalsePositives\":%" PRIu64
         ",\"forwardedLoads\":%" PRIu64 ",",
         loop_id, ls.entries, ls.commits, ls.violations,
-        ls.cyclesInside, ls.overflowStalls, ls.soloEntries,
-        ls.slowSteps, ls.specFastMem, ls.sigHits,
+        ls.cyclesInside, ls.overflowStalls, ls.soloEntries, ls.sigHits,
         ls.sigFalsePositives, ls.forwardedLoads);
     j += strfmt("\"squashCauses\":%s,",
                 causeMapJson(ls.squashCauses, squashCauseName)
@@ -139,8 +131,6 @@ loopJson(std::int32_t loop_id, const StlRuntimeStats &ls)
     j += strfmt("\"violationsByClass\":%s,",
                 causeMapJson(ls.violationsByClass, addrClassName)
                     .c_str());
-    j += strfmt("\"burstSpans\":%s,",
-                spanHistJson(ls.burstSpans).c_str());
     j += strfmt("\"forwardDistance\":%s,",
                 spanHistJson(ls.forwardDistance).c_str());
     j += strfmt("\"storeBufOccupancy\":%s}",

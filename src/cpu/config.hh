@@ -106,14 +106,12 @@ struct SystemConfig
     bool cacheTiming = true;
 
     /**
-     * Host-side speed knob (no effect on simulated behaviour): let
-     * speculative memory ops that provably miss every other core's
-     * write/read-set signature retire inside event-horizon burst
-     * windows instead of forcing the cycle-exact step() path.  Off
-     * keeps the reference path for differential testing; results are
-     * bit-identical either way.
+     * Run every cycle through the per-cycle reference Machine::step(),
+     * bypassing the sequential event-horizon fast path.  Host-side
+     * only: results are bit-identical either way, so the forge's
+     * differential diffs the default run against this one.
      */
-    bool specMemFastPath = true;
+    bool referenceStep = false;
 
     SpecBufferConfig specBuffers;
     HandlerCosts handlers;

@@ -94,21 +94,9 @@ struct Core
     // instruction array, revalidated against the code-space
     // generation (install/replace can reallocate the storage).
     const Inst *frameBase = nullptr;
-    /** SpecClass side table parallel to frameBase (same method). */
-    const std::uint8_t *frameSpecClass = nullptr;
-    /** Straight-line transparent run lengths, parallel to frameBase. */
-    const std::uint8_t *frameLinearRun = nullptr;
     std::uint32_t frameLen = 0;
     std::uint32_t frameMethod = ~0u;
     std::uint64_t frameGen = 0;
-
-    /** Member of the currently open burst window's runner set. */
-    bool windowRunner = false;
-    /** Burst-window rounds this runner may still retire before its
-     *  next instruction needs re-approval (staggered per-runner
-     *  approval; reset to 0 whenever a window closes or falls back
-     *  so stale approvals never survive an exact step). */
-    std::uint8_t runLeft = 0;
 
     // Timing-only L1 data cache model.
     CacheModel l1;

@@ -77,7 +77,7 @@ addrClassName(std::size_t cls)
 /**
  * Cheap always-on histogram for hot-path telemetry: count/sum/max plus
  * log2 buckets.  A sample is a handful of integer ops (no floating
- * point, no allocation), so it can run per speculative window without
+ * point, no allocation), so it can run per speculative store without
  * perturbing simulation speed; SampleStat stays the tool for the
  * colder Table 3 statistics.
  */
@@ -153,13 +153,9 @@ struct ExecStats
     std::uint64_t violationsSuppressed = 0;
 
     // --- dependence telemetry (observatory) ---
-    /** Event-free burst lengths per speculative window (instructions). */
+    /** Always empty: kept only because the pipeline ledger
+     *  (perfbench/ledger.cc) still reads its sum. */
     SpanHist burstSpans;
-    /** Windows that fell back to the cycle-exact step() path. */
-    std::uint64_t specSlowSteps = 0;
-    /** Speculative memory ops retired inside a burst window (the
-     *  signature fast path proved them core-local). */
-    std::uint64_t specFastMem = 0;
     /** Write/read-set signature probes that hit and ran the exact
      *  forwarding or broadcast scan. */
     std::uint64_t sigHits = 0;
@@ -241,9 +237,6 @@ struct StlRuntimeStats
     std::uint64_t governorAborts = 0; ///< governor trips on this loop
 
     // --- dependence telemetry (observatory), scoped to this loop ---
-    SpanHist burstSpans;           ///< event-free burst lengths
-    std::uint64_t slowSteps = 0;   ///< cycle-exact fallback windows
-    std::uint64_t specFastMem = 0; ///< memory ops retired in-window
     std::uint64_t sigHits = 0;     ///< signature probes that hit
     std::uint64_t sigFalsePositives = 0; ///< hits with empty scans
     std::uint64_t forwardedLoads = 0;

@@ -34,19 +34,13 @@ caseResultJson(const forge::CaseResult &cr)
     j += strfmt("\"speedup\":%.17g,\"seqCycles\":%" PRIu64
                 ",\"tlsCycles\":%" PRIu64 ",\"violations\":%" PRIu64
                 ",\"commits\":%" PRIu64 ",\"overflowStalls\":%" PRIu64
-                ",\"specWindows\":%" PRIu64
-                ",\"specWindowInsts\":%" PRIu64
-                ",\"specSlowSteps\":%" PRIu64
-                ",\"specFastMem\":%" PRIu64
                 ",\"sigHits\":%" PRIu64
                 ",\"sigFalsePositives\":%" PRIu64
                 ",\"forwardedLoads\":%" PRIu64
-                ",\"meanBurst\":%.17g,\"wallMs\":%.17g,",
+                ",\"wallMs\":%.17g,",
                 cr.speedup, cr.seqCycles, cr.tlsCycles, cr.violations,
-                cr.commits, cr.overflowStalls, cr.specWindows,
-                cr.specWindowInsts, cr.specSlowSteps, cr.specFastMem,
-                cr.sigHits, cr.sigFalsePositives,
-                cr.forwardedLoads, cr.meanBurst, cr.wallMs);
+                cr.commits, cr.overflowStalls, cr.sigHits,
+                cr.sigFalsePositives, cr.forwardedLoads, cr.wallMs);
     j += "\"squashCauses\":[";
     for (std::size_t c = 0; c < kNumSquashCauses; ++c)
         j += strfmt(c ? ",%" PRIu64 : "%" PRIu64, cr.squashCauses[c]);
@@ -128,14 +122,9 @@ caseResultFromJson(const std::string &text, forge::CaseResult &out,
     cr.violations = u64Of(v["violations"]);
     cr.commits = u64Of(v["commits"]);
     cr.overflowStalls = u64Of(v["overflowStalls"]);
-    cr.specWindows = u64Of(v["specWindows"]);
-    cr.specWindowInsts = u64Of(v["specWindowInsts"]);
-    cr.specSlowSteps = u64Of(v["specSlowSteps"]);
-    cr.specFastMem = u64Of(v["specFastMem"]);
     cr.sigHits = u64Of(v["sigHits"]);
     cr.sigFalsePositives = u64Of(v["sigFalsePositives"]);
     cr.forwardedLoads = u64Of(v["forwardedLoads"]);
-    cr.meanBurst = v["meanBurst"].number();
     cr.wallMs = v["wallMs"].number();
 
     const JsonValue &sc = v["squashCauses"];

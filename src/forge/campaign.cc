@@ -58,14 +58,9 @@ runCaseImpl(const ScenarioSpec &spec, const JrpmConfig &base,
     cr.violations = st.violations;
     cr.commits = st.commits;
     cr.overflowStalls = st.bufferOverflowStalls;
-    cr.specWindows = st.burstSpans.count;
-    cr.specWindowInsts = st.burstSpans.sum;
-    cr.specSlowSteps = st.specSlowSteps;
-    cr.specFastMem = st.specFastMem;
     cr.sigHits = st.sigHits;
     cr.sigFalsePositives = st.sigFalsePositives;
     cr.forwardedLoads = st.forwardedLoads;
-    cr.meanBurst = st.burstSpans.mean();
     cr.squashCauses = st.squashCauses;
     cr.violationsByClass = st.violationsByClass;
     cr.governorAborts = st.governorAborts;
@@ -159,95 +154,108 @@ namespace
 {
 
 /**
- * First semantic difference between the fast-path-on and -off
- * pipeline reports of one scenario ("" when equivalent).  Excludes
- * exactly the dispatch-shape telemetry — burstSpans, specSlowSteps,
- * specFastMem, sigHits, sigFalsePositives — which counts how the
- * simulator stepped and legitimately differs between the two modes.
- * Everything observable about the simulated machine must match
- * bit-for-bit: cycle/instruction counts, the Fig. 10 buckets (double
- * accounting included), violations and their address map, forwarding
- * and occupancy histograms, cache hit/miss counters, VM output, and
- * the oracle's memory checksum.
+ * First semantic difference between the default and the referenceStep
+ * pipeline reports of one scenario ("" when equivalent).  Every run of
+ * the pipeline -- the sequential golden, the sequential run on the
+ * profile input, the TEST-profiled run and the TLS run -- must match
+ * bit-for-bit in everything observable about the simulated machine:
+ * results, cycle/instruction counts, every ExecStats field (Fig. 10
+ * buckets with their double accounting, violations and their address
+ * map, signature probes, forwarding and occupancy histograms, squash
+ * causes), cache counters and the oracle's memory checksum.  Only
+ * RunOutcome::steps, the dispatch shape, may differ.
  */
 std::string
-semanticDiff(const JrpmReport &on, const JrpmReport &off)
+semanticDiff(const JrpmReport &fast, const JrpmReport &ref)
 {
     std::string d;
-    auto u64 = [&](const char *what, std::uint64_t a,
+    auto u64 = [&](const std::string &what, std::uint64_t a,
                    std::uint64_t b) {
         if (d.empty() && a != b)
-            d = strfmt("%s: on %" PRIu64 " off %" PRIu64, what, a, b);
+            d = strfmt("%s: fast %" PRIu64 " ref %" PRIu64,
+                       what.c_str(), a, b);
     };
-    auto num = [&](const char *what, double a, double b) {
+    auto num = [&](const std::string &what, double a, double b) {
         if (d.empty() && a != b)
-            d = strfmt("%s: on %.17g off %.17g", what, a, b);
+            d = strfmt("%s: fast %.17g ref %.17g", what.c_str(), a, b);
     };
-    auto hist = [&](const char *what, const SpanHist &a,
+    auto hist = [&](const std::string &what, const SpanHist &a,
                     const SpanHist &b) {
-        u64(strfmt("%s.count", what).c_str(), a.count, b.count);
-        u64(strfmt("%s.sum", what).c_str(), a.sum, b.sum);
-        u64(strfmt("%s.max", what).c_str(), a.max, b.max);
+        u64(what + ".count", a.count, b.count);
+        u64(what + ".sum", a.sum, b.sum);
+        u64(what + ".max", a.max, b.max);
+        if (d.empty() && a.log2Buckets != b.log2Buckets)
+            d = what + ".log2Buckets differ";
     };
+    auto run = [&](const std::string &p, const RunOutcome &a,
+                   const RunOutcome &b) {
+        u64(p + ".halted", a.halted, b.halted);
+        u64(p + ".uncaught", a.uncaught, b.uncaught);
+        u64(p + ".exitValue", a.exitValue, b.exitValue);
+        u64(p + ".cycles", a.cycles, b.cycles);
+        u64(p + ".insts", a.insts, b.insts);
+        u64(p + ".memChecksum", a.memChecksum, b.memChecksum);
+        if (d.empty() && a.vm.output != b.vm.output)
+            d = p + ".vm.output differs";
+        u64(p + ".l1Hits", a.l1Hits, b.l1Hits);
+        u64(p + ".l1Misses", a.l1Misses, b.l1Misses);
+        u64(p + ".l2Hits", a.l2Hits, b.l2Hits);
+        u64(p + ".l2Misses", a.l2Misses, b.l2Misses);
 
-    // The fast path only exists in speculative mode; the sequential
-    // golden must be untouched by the knob.
-    u64("seqMain.cycles", on.seqMain.cycles, off.seqMain.cycles);
-    u64("seqMain.memChecksum", on.seqMain.memChecksum,
-        off.seqMain.memChecksum);
-
-    const RunOutcome &a = on.tls;
-    const RunOutcome &b = off.tls;
-    u64("tls.halted", a.halted, b.halted);
-    u64("tls.uncaught", a.uncaught, b.uncaught);
-    u64("tls.exitValue", a.exitValue, b.exitValue);
-    u64("tls.cycles", a.cycles, b.cycles);
-    u64("tls.insts", a.insts, b.insts);
-    u64("tls.memChecksum", a.memChecksum, b.memChecksum);
-    if (d.empty() && a.vm.output != b.vm.output)
-        d = "tls.vm.output differs";
-    u64("tls.l1Hits", a.l1Hits, b.l1Hits);
-    u64("tls.l1Misses", a.l1Misses, b.l1Misses);
-    u64("tls.l2Hits", a.l2Hits, b.l2Hits);
-    u64("tls.l2Misses", a.l2Misses, b.l2Misses);
-
-    const ExecStats &sa = a.stats;
-    const ExecStats &sb = b.stats;
-    num("stats.serial", sa.serial, sb.serial);
-    num("stats.runUsed", sa.runUsed, sb.runUsed);
-    num("stats.waitUsed", sa.waitUsed, sb.waitUsed);
-    num("stats.overhead", sa.overhead, sb.overhead);
-    num("stats.runViolated", sa.runViolated, sb.runViolated);
-    num("stats.waitViolated", sa.waitViolated, sb.waitViolated);
-    u64("stats.violations", sa.violations, sb.violations);
-    u64("stats.violationAddrsDropped", sa.violationAddrsDropped,
-        sb.violationAddrsDropped);
-    if (d.empty() && sa.violationAddrs != sb.violationAddrs)
-        d = "stats.violationAddrs differs";
-    u64("stats.commits", sa.commits, sb.commits);
-    u64("stats.stlEntries", sa.stlEntries, sb.stlEntries);
-    u64("stats.bufferOverflowStalls", sa.bufferOverflowStalls,
-        sb.bufferOverflowStalls);
-    u64("stats.watchdogFires", sa.watchdogFires, sb.watchdogFires);
-    u64("stats.governorAborts", sa.governorAborts,
-        sb.governorAborts);
-    u64("stats.violationsSuppressed", sa.violationsSuppressed,
-        sb.violationsSuppressed);
-    u64("stats.forwardedLoads", sa.forwardedLoads,
-        sb.forwardedLoads);
-    hist("stats.forwardDistance", sa.forwardDistance,
-         sb.forwardDistance);
-    hist("stats.storeBufOccupancy", sa.storeBufOccupancy,
-         sb.storeBufOccupancy);
-    for (std::size_t c = 0; c < kNumSquashCauses; ++c)
-        u64(strfmt("stats.squashCauses[%s]", squashCauseName(c))
-                .c_str(),
-            sa.squashCauses[c], sb.squashCauses[c]);
-    for (std::size_t c = 0; c < kNumAddrClasses; ++c)
-        u64(strfmt("stats.violationsByClass[%s]", addrClassName(c))
-                .c_str(),
-            sa.violationsByClass[c], sb.violationsByClass[c]);
+        const ExecStats &sa = a.stats;
+        const ExecStats &sb = b.stats;
+        const std::string s = p + ".stats.";
+        num(s + "serial", sa.serial, sb.serial);
+        num(s + "runUsed", sa.runUsed, sb.runUsed);
+        num(s + "waitUsed", sa.waitUsed, sb.waitUsed);
+        num(s + "overhead", sa.overhead, sb.overhead);
+        num(s + "runViolated", sa.runViolated, sb.runViolated);
+        num(s + "waitViolated", sa.waitViolated, sb.waitViolated);
+        u64(s + "violations", sa.violations, sb.violations);
+        if (d.empty() && sa.violationAddrs != sb.violationAddrs)
+            d = s + "violationAddrs differ";
+        u64(s + "violationAddrsDropped", sa.violationAddrsDropped,
+            sb.violationAddrsDropped);
+        u64(s + "commits", sa.commits, sb.commits);
+        u64(s + "stlEntries", sa.stlEntries, sb.stlEntries);
+        u64(s + "bufferOverflowStalls", sa.bufferOverflowStalls,
+            sb.bufferOverflowStalls);
+        u64(s + "watchdogFires", sa.watchdogFires, sb.watchdogFires);
+        u64(s + "governorAborts", sa.governorAborts,
+            sb.governorAborts);
+        u64(s + "violationsSuppressed", sa.violationsSuppressed,
+            sb.violationsSuppressed);
+        u64(s + "sigHits", sa.sigHits, sb.sigHits);
+        u64(s + "sigFalsePositives", sa.sigFalsePositives,
+            sb.sigFalsePositives);
+        u64(s + "forwardedLoads", sa.forwardedLoads, sb.forwardedLoads);
+        hist(s + "forwardDistance", sa.forwardDistance,
+             sb.forwardDistance);
+        hist(s + "storeBufOccupancy", sa.storeBufOccupancy,
+             sb.storeBufOccupancy);
+        for (std::size_t c = 0; c < kNumSquashCauses; ++c)
+            u64(s + "squashCauses[" + squashCauseName(c) + "]",
+                sa.squashCauses[c], sb.squashCauses[c]);
+        for (std::size_t c = 0; c < kNumAddrClasses; ++c)
+            u64(s + "violationsByClass[" + addrClassName(c) + "]",
+                sa.violationsByClass[c], sb.violationsByClass[c]);
+    };
+    run("seqMain", fast.seqMain, ref.seqMain);
+    run("seqProfileIn", fast.seqProfileIn, ref.seqProfileIn);
+    run("profiled", fast.profiled, ref.profiled);
+    run("tls", fast.tls, ref.tls);
     return d;
+}
+
+/** Cycles of @p rep's runs that skipped step() (batched). */
+std::uint64_t
+batchedCycles(const JrpmReport &rep)
+{
+    std::uint64_t n = 0;
+    for (const RunOutcome *o :
+         {&rep.seqMain, &rep.seqProfileIn, &rep.profiled, &rep.tls})
+        n += o->cycles - o->steps;
+    return n;
 }
 
 } // namespace
@@ -258,39 +266,38 @@ runFastPathDifferential(const CampaignConfig &cfg)
     DifferentialResult res;
     res.cases = cfg.cases;
 
-    JrpmConfig onCfg = cfg.base;
-    onCfg.sys.specMemFastPath = true;
-    JrpmConfig offCfg = cfg.base;
-    offCfg.sys.specMemFastPath = false;
+    JrpmConfig fastCfg = cfg.base;
+    fastCfg.sys.referenceStep = false;
+    JrpmConfig refCfg = cfg.base;
+    refCfg.sys.referenceStep = true;
 
     for (std::uint32_t i = 0; i < cfg.cases; ++i) {
         const ScenarioSpec spec = generate(cfg.seed + i, cfg.axes);
-        JrpmReport ron, roff;
-        const CaseResult con =
-            runCaseImpl(spec, onCfg, cfg.forcedSweep, &ron);
-        const CaseResult coff =
-            runCaseImpl(spec, offCfg, cfg.forcedSweep, &roff);
+        JrpmReport rfast, rref;
+        const CaseResult cfast =
+            runCaseImpl(spec, fastCfg, cfg.forcedSweep, &rfast);
+        const CaseResult cref =
+            runCaseImpl(spec, refCfg, cfg.forcedSweep, &rref);
 
-        res.fastMemRetired += ron.tls.stats.specFastMem;
-        res.sigHits += ron.tls.stats.sigHits;
-        res.slowSteps += ron.tls.stats.specSlowSteps;
+        res.fastBatched += batchedCycles(rfast);
+        res.refBatched += batchedCycles(rref);
 
         std::string d;
-        if (!con.ok || !coff.ok)
-            d = strfmt("pipeline error (on: %s; off: %s)",
-                       con.ok ? "ok" : con.error.c_str(),
-                       coff.ok ? "ok" : coff.error.c_str());
-        else if (con.pipelineDiverged != coff.pipelineDiverged)
-            d = strfmt("pipelineDiverged: on %d off %d",
-                       con.pipelineDiverged, coff.pipelineDiverged);
-        else if (con.forcedLoops != coff.forcedLoops ||
-                 con.forcedDiverged != coff.forcedDiverged)
-            d = strfmt("forced sweep: on %u/%u diverged, "
-                       "off %u/%u diverged",
-                       con.forcedDiverged, con.forcedLoops,
-                       coff.forcedDiverged, coff.forcedLoops);
+        if (!cfast.ok || !cref.ok)
+            d = strfmt("pipeline error (fast: %s; ref: %s)",
+                       cfast.ok ? "ok" : cfast.error.c_str(),
+                       cref.ok ? "ok" : cref.error.c_str());
+        else if (cfast.pipelineDiverged != cref.pipelineDiverged)
+            d = strfmt("pipelineDiverged: fast %d ref %d",
+                       cfast.pipelineDiverged, cref.pipelineDiverged);
+        else if (cfast.forcedLoops != cref.forcedLoops ||
+                 cfast.forcedDiverged != cref.forcedDiverged)
+            d = strfmt("forced sweep: fast %u/%u diverged, "
+                       "ref %u/%u diverged",
+                       cfast.forcedDiverged, cfast.forcedLoops,
+                       cref.forcedDiverged, cref.forcedLoops);
         else
-            d = semanticDiff(ron, roff);
+            d = semanticDiff(rfast, rref);
         if (!d.empty())
             res.mismatches.push_back({spec.seed, d});
     }
@@ -306,10 +313,8 @@ DifferentialResult::summary() const
 {
     std::string s = strfmt(
         "fast-path differential: %u cases, %zu mismatching\n"
-        "on-run telemetry: %" PRIu64 " in-window mem retires, "
-        "%" PRIu64 " signature hits, %" PRIu64 " exact fallbacks\n",
-        cases, mismatches.size(), fastMemRetired, sigHits,
-        slowSteps);
+        "batched cycles: fast %" PRIu64 ", reference %" PRIu64 "\n",
+        cases, mismatches.size(), fastBatched, refBatched);
     for (const DifferentialMismatch &m : mismatches)
         s += strfmt("  MISMATCH seed 0x%016llx: %s\n",
                     static_cast<unsigned long long>(m.seed),
@@ -616,22 +621,6 @@ campaignAnalyticsJson(const CampaignConfig &cfg,
          [](const CaseResult &c) {
              return static_cast<double>(c.overflowStalls);
          }},
-        {"specWindows",
-         [](const CaseResult &c) {
-             return static_cast<double>(c.specWindows);
-         }},
-        {"specWindowInsts",
-         [](const CaseResult &c) {
-             return static_cast<double>(c.specWindowInsts);
-         }},
-        {"specSlowSteps",
-         [](const CaseResult &c) {
-             return static_cast<double>(c.specSlowSteps);
-         }},
-        {"specFastMem",
-         [](const CaseResult &c) {
-             return static_cast<double>(c.specFastMem);
-         }},
         {"sigHits",
          [](const CaseResult &c) {
              return static_cast<double>(c.sigHits);
@@ -644,8 +633,6 @@ campaignAnalyticsJson(const CampaignConfig &cfg,
          [](const CaseResult &c) {
              return static_cast<double>(c.forwardedLoads);
          }},
-        {"meanBurst",
-         [](const CaseResult &c) { return c.meanBurst; }},
         {"wallMs", [](const CaseResult &c) { return c.wallMs; }},
     };
     j += "\"metrics\":{";
@@ -670,8 +657,7 @@ campaignAnalyticsJson(const CampaignConfig &cfg,
             j += ',';
         first = false;
         j += strfmt(
-            "\"%s\":{\"cases\":%u,\"speedup\":%s,\"violations\":%s,"
-            "\"specSlowSteps\":%s}",
+            "\"%s\":{\"cases\":%u,\"speedup\":%s,\"violations\":%s}",
             axisName(static_cast<StressAxis>(bit)),
             res.axisScenarios[a],
             casePctJson(
@@ -682,13 +668,6 @@ campaignAnalyticsJson(const CampaignConfig &cfg,
                 res.results,
                 [](const CaseResult &c) {
                     return static_cast<double>(c.violations);
-                },
-                bit)
-                .c_str(),
-            casePctJson(
-                res.results,
-                [](const CaseResult &c) {
-                    return static_cast<double>(c.specSlowSteps);
                 },
                 bit)
                 .c_str());

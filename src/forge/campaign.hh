@@ -85,14 +85,9 @@ struct CaseResult
     std::uint64_t violations = 0;
     std::uint64_t commits = 0;
     std::uint64_t overflowStalls = 0;
-    std::uint64_t specWindows = 0;     ///< speculative burst windows
-    std::uint64_t specWindowInsts = 0; ///< insts retired in bursts
-    std::uint64_t specSlowSteps = 0;   ///< cycle-exact fallbacks
-    std::uint64_t specFastMem = 0;     ///< mem ops retired in-window
     std::uint64_t sigHits = 0;         ///< signature probes that hit
     std::uint64_t sigFalsePositives = 0; ///< hits with empty scans
     std::uint64_t forwardedLoads = 0;
-    double meanBurst = 0;              ///< insts per burst window
     std::array<std::uint64_t, kNumSquashCauses> squashCauses{};
     std::array<std::uint64_t, kNumAddrClasses> violationsByClass{};
     /** (loopId, squash events) for every squashing loop. */
@@ -177,7 +172,7 @@ CaseResult runCase(const ScenarioSpec &spec, const JrpmConfig &base,
 CaseResult runCase(const ScenarioSpec &spec, const JrpmConfig &base,
                    bool forced_sweep, JrpmReport *rep_out);
 
-/** One scenario whose fast-path-on and fast-path-off runs differed. */
+/** One scenario whose default and referenceStep runs differed. */
 struct DifferentialMismatch
 {
     std::uint64_t seed = 0;
@@ -188,12 +183,11 @@ struct DifferentialMismatch
 struct DifferentialResult
 {
     std::uint32_t cases = 0;
-    /** Telemetry of the fast-path-on runs, summed over all cases:
-     *  proof the differential exercised the fast path rather than
-     *  comparing the exact stepper against itself. */
-    std::uint64_t fastMemRetired = 0; ///< in-window memory retires
-    std::uint64_t sigHits = 0;        ///< signature probes that hit
-    std::uint64_t slowSteps = 0;      ///< cycle-exact fallbacks
+    /** Cycles that skipped step(), summed over every run of every
+     *  case: positive on the default side and zero on the reference
+     *  side prove the two sides took different dispatchers. */
+    std::uint64_t fastBatched = 0;
+    std::uint64_t refBatched = 0;
 
     std::vector<DifferentialMismatch> mismatches;
     bool clean() const { return mismatches.empty(); }
@@ -201,21 +195,16 @@ struct DifferentialResult
 };
 
 /**
- * The speculative-fast-path equivalence campaign: run every scenario
- * through the full pipeline twice — `sys.specMemFastPath` forced on
- * and forced off — and require semantically identical outcomes: the
- * same results (exit value, output, halted/uncaught), the same cycle
- * and instruction counts, Fig. 10 buckets, violation / commit /
- * forwarding / cache telemetry, and the same oracle-captured memory
- * checksum, for the pipeline's TLS run and (under `forcedSweep`)
- * every forced decomposition.  Dispatch-shape counters (burst spans,
- * slow steps, signature probes, in-window retires) are the only
- * fields allowed to differ: they describe how the simulator stepped,
- * not what the simulated machine did.
+ * The fast-path equivalence campaign: run every scenario through the
+ * full pipeline twice -- with the default dispatch and with
+ * `sys.referenceStep`, which sends every cycle through the per-cycle
+ * Machine::step() -- and require semantically identical outcomes for
+ * all four runs of the pipeline (see semanticDiff in campaign.cc) and
+ * for the forced-sweep verdicts.  Only RunOutcome::steps may differ.
  *
  * Honors `cases`, `seed`, `axes`, `forcedSweep` and `base`; runs
- * in-process and sequentially (each case is its own on/off pair, so
- * there is no cross-case state to isolate).
+ * in-process and sequentially (each case is its own pair, so there is
+ * no cross-case state to isolate).
  */
 DifferentialResult runFastPathDifferential(const CampaignConfig &cfg);
 
@@ -244,7 +233,7 @@ CampaignResult runCampaign(const CampaignConfig &cfg);
 /**
  * Campaign analytics: one queryable JSON document aggregating the
  * per-case telemetry capsules — campaign verdict, per-metric
- * percentiles (speedup, cycles, violations, burst behaviour, wall
+ * percentiles (speedup, cycles, violations, signature probes, wall
  * time), per-axis percentile breakdowns, aggregate squash-cause and
  * variable-class tallies, the top squash-cause loops, and the host
  * profiler's attribution snapshot.  scripts/obs_report.py renders it.

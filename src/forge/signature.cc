@@ -52,7 +52,6 @@ signatureOf(const CaseResult &cr)
     s.syncLockPlans = sigBucket(cr.syncLockPlans);
     s.multilevelPlans = sigBucket(cr.multilevelPlans);
     s.sigHits = sigBucket(cr.sigHits);
-    s.fastMem = sigBucket(cr.specFastMem);
     s.demoted = cr.demoted;
     return s;
 }
@@ -68,7 +67,7 @@ BehaviourSignature::hash() const
         h.byte(b);
     h.byte(governor).byte(solo);
     h.byte(syncLockPlans).byte(multilevelPlans);
-    h.byte(sigHits).byte(fastMem);
+    h.byte(sigHits);
     h.byte(demoted ? 1 : 0);
     return h.value();
 }
@@ -84,9 +83,9 @@ BehaviourSignature::describe() const
     s += " raw=";
     for (std::size_t c = 0; c < kNumAddrClasses; ++c)
         s += strfmt(c ? ",%u" : "%u", rawClass[c]);
-    s += strfmt(" gov=%u solo=%u sync=%u multi=%u sig=%u fast=%u%s",
-                governor, solo, syncLockPlans, multilevelPlans,
-                sigHits, fastMem, demoted ? " demoted" : "");
+    s += strfmt(" gov=%u solo=%u sync=%u multi=%u sig=%u%s", governor,
+                solo, syncLockPlans, multilevelPlans, sigHits,
+                demoted ? " demoted" : "");
     return s;
 }
 

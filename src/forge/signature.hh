@@ -7,7 +7,7 @@
  * already collects per case: the stress-axis mask, outcome bits,
  * squash-cause tallies, RAW address classes, governor events
  * (solo-mode entries, governor aborts), sync-lock / multilevel plan
- * outcomes, fast-path engagement (sigHits / specFastMem), and
+ * outcomes, write/read-set signature probe hits (sigHits), and
  * crystal demotions.  Two scenarios with the same signature stressed
  * the machine the same way; a *novel* signature is the
  * coverage-guided campaign's reward signal.
@@ -15,12 +15,11 @@
  * Counters enter the signature as coarse magnitude tiers
  * (none / some / many / lots — see sigBucket()), so the signature is
  * a behaviour class, not a fingerprint: "many RAW squashes on heap
- * addresses" rather than "exactly 1041".  Dispatch-shape telemetry — burst windows, slow steps,
- * signature false positives, mean burst, cycles, wall time — is
- * deliberately EXCLUDED: it describes how the simulator stepped (and
- * legitimately drifts with fast-path heuristics), not what the
- * simulated machine did.  tests/test_signature.cc pins both the
- * inclusion and the exclusion lists.
+ * addresses" rather than "exactly 1041".  Signature false positives,
+ * cycles and wall time are deliberately EXCLUDED: they describe
+ * probe aliasing and host cost, not what the simulated machine did.
+ * tests/test_signature.cc pins both the inclusion and the exclusion
+ * lists.
  *
  * signatureOf() is a pure function of the CaseResult wire fields, so
  * a fleet supervisor can recompute and cross-check the hash a worker
@@ -70,9 +69,8 @@ struct BehaviourSignature
     /** Sync-lock / multilevel plan outcomes (magnitude tiers). */
     std::uint8_t syncLockPlans = 0;
     std::uint8_t multilevelPlans = 0;
-    /** Fast-path engagement: signature probes / in-window retires. */
+    /** Write/read-set signature probes that hit. */
     std::uint8_t sigHits = 0;
-    std::uint8_t fastMem = 0;
     /** The crystal entry was demoted after this run. */
     bool demoted = false;
 
@@ -91,7 +89,7 @@ struct BehaviourSignature
                governor == o.governor && solo == o.solo &&
                syncLockPlans == o.syncLockPlans &&
                multilevelPlans == o.multilevelPlans &&
-               sigHits == o.sigHits && fastMem == o.fastMem &&
+               sigHits == o.sigHits &&
                demoted == o.demoted;
     }
 };

@@ -178,45 +178,6 @@ isStore(Op op)
     }
 }
 
-std::uint8_t
-specClassOf(Op op)
-{
-    switch (op) {
-      case Op::LW: case Op::LB: case Op::LBU: case Op::LH:
-      case Op::LHU: case Op::LWNV: case Op::SW: case Op::SB:
-      case Op::SH:
-        return kSpecMem;
-      case Op::SCOP:
-      case Op::SMEM:
-      case Op::TRAP:
-      case Op::MTC2:
-      case Op::HALT:
-        return kSpecExact;
-      case Op::JR:
-        return kSpecJr;
-      case Op::DIV:
-      case Op::DIVU:
-      case Op::REM:
-      case Op::REMU:
-        return kSpecDiv;
-      default:
-        return kSpecTransparent;
-    }
-}
-
-bool
-altersPc(Op op)
-{
-    switch (op) {
-      case Op::BEQ: case Op::BNE: case Op::BLEZ: case Op::BGTZ:
-      case Op::BLTZ: case Op::BGEZ: case Op::BGE: case Op::BLT:
-      case Op::J: case Op::JAL:
-        return true;
-      default:
-        return false;
-    }
-}
-
 std::string
 disassemble(const Inst &i)
 {

@@ -160,28 +160,6 @@ bool isLoad(Op op);
 bool isStore(Op op);
 
 /**
- * Static classification of an opcode for the speculative burst-window
- * dispatcher: what could force a window back to cycle-exact stepping.
- * Computed once per instruction at code-install time so the per-round
- * approval check is a single table lookup instead of an opcode switch.
- */
-enum SpecClass : std::uint8_t
-{
-    kSpecTransparent = 0, ///< never stops a window (ALU, branches, ...)
-    kSpecMem = 1,         ///< load/store: needs a signature check
-    kSpecExact = 2,       ///< always exact (SCOP/SMEM/TRAP/MTC2/HALT)
-    kSpecJr = 3,          ///< stops only on the return sentinel
-    kSpecDiv = 4,         ///< stops only on a zero divisor
-};
-
-/** Classify one opcode (see SpecClass). */
-std::uint8_t specClassOf(Op op);
-
-/** True if executing @p op can change the program counter (branches
- *  and jumps; JR is classified separately as kSpecJr). */
-bool altersPc(Op op);
-
-/**
  * A compiled method's native code: a flat instruction vector plus
  * metadata the runtime needs (frame size, exception table).
  */
@@ -201,22 +179,6 @@ class NativeCode
     std::uint32_t methodId = 0; ///< index in the code space
     std::uint32_t frameBytes = 0; ///< stack frame size in bytes
     std::vector<Inst> insts;
-    /**
-     * Per-instruction SpecClass values, parallel to `insts`.  Filled
-     * by CodeSpace::install/replace (the only mutation points), so
-     * cached frame pointers can rely on it matching `insts`.
-     */
-    std::vector<std::uint8_t> specClass;
-    /**
-     * Per-instruction straight-line transparent run lengths, parallel
-     * to `insts`: entry i > 0 means instructions i .. i+len-1 are all
-     * kSpecTransparent and only the last may alter the pc, so a burst
-     * window can retire that many rounds without re-approving.  0
-     * means instruction i needs its SpecClass checked.  Saturates at
-     * 255.  Filled by CodeSpace::install/replace alongside
-     * `specClass`.
-     */
-    std::vector<std::uint8_t> linearRun;
     std::vector<CatchEntry> catches;
     /**
      * Callee-saved registers this method spills in its prologue, as

@@ -197,15 +197,6 @@ SpecTags::forceRecordLoad(Addr addr, bool locally_written)
     }
 }
 
-bool
-SpecTags::canRecordLoad(Addr addr) const
-{
-    if (readLines.contains(lineBase(addr)))
-        return true;
-    return readLinesPerSet[setOf(addr)] < config.loadBufferAssoc &&
-           totalReadLines < config.loadBufferLines;
-}
-
 void
 SpecTags::recordStore(Addr addr)
 {

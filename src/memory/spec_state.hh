@@ -224,13 +224,6 @@ class SpecTags
         return readSig.mayContain(wordBase(addr));
     }
 
-    /**
-     * True if recordLoad(addr, false) would succeed without
-     * overflowing the load buffer (the line is already pinned or
-     * capacity remains); does not modify state.
-     */
-    bool canRecordLoad(Addr addr) const;
-
     /** Clear all tag bits (end of iteration / squash). */
     void clear();
 

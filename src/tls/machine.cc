@@ -22,21 +22,6 @@ sext(Word v, unsigned bits)
     return (v ^ m) - m;
 }
 
-/** Classify a data-memory op: direction and access width. */
-bool
-memOpClass(Op op, bool &store, std::uint32_t &len)
-{
-    switch (op) {
-      case Op::LW: case Op::LWNV: store = false; len = 4; return true;
-      case Op::LH: case Op::LHU:  store = false; len = 2; return true;
-      case Op::LB: case Op::LBU:  store = false; len = 1; return true;
-      case Op::SW: store = true; len = 4; return true;
-      case Op::SH: store = true; len = 2; return true;
-      case Op::SB: store = true; len = 1; return true;
-      default: return false;
-    }
-}
-
 } // namespace
 
 const char *
@@ -61,13 +46,6 @@ Machine::Machine(const SystemConfig &config)
     for (std::uint32_t i = 0; i < cfg.numCpus; ++i)
         cores.emplace_back(i, cfg);
     specShare = 1.0 / cfg.numCpus;
-    // Batch accounting adds share*k at once where step() adds share k
-    // times; that is bit-identical only when share is exactly
-    // representable, i.e. numCpus is a power of two.
-    fastPathOk = cfg.numCpus != 0 &&
-                 (cfg.numCpus & (cfg.numCpus - 1)) == 0;
-    burstRunners.reserve(cfg.numCpus);
-    roundMem.reserve(cfg.numCpus);
 }
 
 void
@@ -143,6 +121,7 @@ void
 Machine::step()
 {
     ++cycle;
+    ++nSteps;
     if (fault && fault->armed())
         pollFaults();
     if (specActive && cfg.watchdog.enabled &&
@@ -158,11 +137,12 @@ Machine::step()
 // Event-horizon fast path
 //
 // run() advances through advance(), which consumes 1..budget cycles
-// with accounting bit-identical to that many step() calls.  Cycles
-// where something order-sensitive happens (speculation control,
-// memory traffic under speculation, squashes, resolvable waits, armed
-// fault injectors) always go through step() itself; everything in
-// between is batched or burst.  See DESIGN.md, "Simulator fast path".
+// with accounting bit-identical to that many step() calls.  Outside
+// speculation, quiet stall spans are batched and event-free instruction
+// runs are burst; speculation control and resolvable waits go through
+// step() itself.  Speculative cycles, armed fault injectors and
+// SystemConfig::referenceStep always run step().  See DESIGN.md,
+// "Simulator fast path".
 // ---------------------------------------------------------------------
 
 bool
@@ -172,8 +152,6 @@ Machine::frameReady(Core &c)
         c.frameGen != code.generation()) {
         const NativeCode &m = code.method(c.pc.method);
         c.frameBase = m.insts.data();
-        c.frameSpecClass = m.specClass.data();
-        c.frameLinearRun = m.linearRun.data();
         c.frameLen = static_cast<std::uint32_t>(m.insts.size());
         c.frameMethod = c.pc.method;
         c.frameGen = code.generation();
@@ -190,157 +168,6 @@ Machine::burstStop(const Inst &inst) const
     return inst.op == Op::SCOP || inst.op == Op::SMEM;
 }
 
-bool
-Machine::memEligibleFast(const Core &c, Op op, bool store, Addr addr,
-                         std::uint32_t len) const
-{
-    if (!cfg.specMemFastPath)
-        return false;
-    if (c.mode != CpuMode::Speculative || c.directMode)
-        return false;
-    if (addr % len != 0 || !mem.valid(addr, len))
-        return false; // would fault: keep the exact dispatch order
-    if (store) {
-        if (c.buffer.wouldOverflow(addr))
-            return false;
-        // Provably victim-free: the stored word misses every
-        // more-speculative core's read-set signature, so the
-        // violation broadcast cannot squash anyone mid-window.
-        for (const auto &d : cores) {
-            if (d.id == c.id || d.mode != CpuMode::Speculative ||
-                d.iteration <= c.iteration)
-                continue;
-            if (d.tags.readSigHit(addr))
-                return false;
-        }
-        return true;
-    }
-    // Loads: forwarding must be resolvable locally -- no
-    // less-speculative buffer may hold the line...
-    for (const auto &d : cores) {
-        if (d.id == c.id || d.mode != CpuMode::Speculative ||
-            d.iteration >= c.iteration)
-            continue;
-        if (d.buffer.writeSigHit(addr))
-            return false;
-    }
-    // ...and tracking the read must not overflow the load buffer
-    // (LWNV never records; locally-written words re-pin their line
-    // best-effort, exactly like the reference path).
-    if (op != Op::LWNV && !c.tags.writtenLocally(addr) &&
-        !c.tags.canRecordLoad(addr))
-        return false;
-    return true;
-}
-
-bool
-Machine::roundApprove()
-{
-    roundMem.clear();
-    bool haveStore = false;
-    bool haveLoad = false;
-    const std::size_t nRunners = burstRunners.size();
-    for (std::size_t ri = 0; ri < nRunners; ++ri) {
-        Core *r = burstRunners[ri];
-        if (r->runLeft)
-            continue; // mid-run: approved through the run's last op
-        // A runner that gained a stall (cache miss, same-round
-        // forward) ran its whole round exactly; the window just
-        // cannot open another one.  Squashes cannot happen in-window
-        // (eligible stores are victim-free), but stay defensive.
-        if (r->stall != StallKind::None || r->squashed ||
-            !frameReady(*r))
-            return false;
-        const std::uint32_t idx =
-            static_cast<std::uint32_t>(r->pc.index);
-        const std::uint8_t lin = r->frameLinearRun[idx];
-        if (lin) {
-            // Straight-line transparent ops: no stall, no shared
-            // state, no pc surprise until the run's last op.  The
-            // whole run is approved with this one byte load; the
-            // runner is not looked at again until the run ends.
-            r->runLeft = lin;
-            continue;
-        }
-        // A data-checked op that cannot change the pc extends its
-        // approval into the transparent run that follows it, so the
-        // runner skips a whole approval barrier per op.
-        auto approveThrough = [&](std::uint32_t after) {
-            const std::uint8_t cont =
-                after < r->frameLen ? r->frameLinearRun[after]
-                                    : std::uint8_t{0};
-            r->runLeft = cont >= 255
-                             ? std::uint8_t{255}
-                             : static_cast<std::uint8_t>(cont + 1);
-        };
-        switch (r->frameSpecClass[idx]) {
-          case kSpecExact:
-            // Speculation control, traps, CP2 writes, halts: the
-            // runtime and the shared write bus are order-sensitive.
-            r->runLeft = 1;
-            return false;
-          case kSpecJr:
-            // The jump target is unknown until the op executes:
-            // one round, then re-approve at the new pc.
-            r->runLeft = 1;
-            if (r->regs[r->frameBase[idx].rs] == kReturnSentinel)
-                return false;
-            break;
-          case kSpecDiv:
-            // Core-local once the divisor is proven nonzero; falls
-            // straight through into the following run.
-            approveThrough(idx + 1);
-            if (r->regs[r->frameBase[idx].rt] == 0) {
-                r->runLeft = 1;
-                return false;
-            }
-            break;
-          case kSpecMem: {
-            const Inst &inst = r->frameBase[idx];
-            bool store = false;
-            std::uint32_t len = 0;
-            memOpClass(inst.op, store, len);
-            // The operand registers cannot change between this check
-            // and the op's round (each runner retires exactly the
-            // checked instruction), so the address is final here.
-            const Addr addr =
-                r->regs[inst.rs] + static_cast<Word>(inst.imm);
-            approveThrough(idx + 1);
-            if (!memEligibleFast(*r, inst.op, store, addr, len)) {
-                r->runLeft = 1;
-                return false;
-            }
-            roundMemMask |= 1u << ri;
-            roundMem.push_back({addr & ~3u, r->iteration, store});
-            haveStore |= store;
-            haveLoad |= !store;
-            break;
-          }
-        }
-    }
-    // Eligibility checks each memory op against *committed* signature
-    // state; two ops approved for the same round can still interact
-    // with each other: a store plus a more-speculative load of the
-    // same word (violation if the load lands first, same-cycle
-    // forward if the store does).  Rare: close the window and let
-    // step() order them.  A memory op only ever retires in the round
-    // right after its approval barrier (a run never extends *into*
-    // one), so every same-round pair meets here.  Aligned accesses
-    // of <= 4 bytes overlap only if they share a word.
-    if (haveStore && haveLoad) {
-        for (const RoundMem &a : roundMem) {
-            if (!a.store)
-                continue;
-            for (const RoundMem &b : roundMem) {
-                if (!b.store && b.iteration > a.iteration &&
-                    b.word == a.word)
-                    return false;
-            }
-        }
-    }
-    return true;
-}
-
 void
 Machine::noteSequentialStates(Core &c, TraceState s)
 {
@@ -348,23 +175,10 @@ Machine::noteSequentialStates(Core &c, TraceState s)
         noteState(d, d.id == c.id ? s : TraceState::Idle);
 }
 
-TraceState
-Machine::specWindowState(const Core &c) const
+bool
+Machine::exactOnly() const
 {
-    if (c.mode == CpuMode::Halted)
-        return TraceState::Idle;
-    if (c.mode == CpuMode::Parked)
-        return TraceState::SpecWait;
-    switch (c.stall) {
-      case StallKind::None:
-      case StallKind::Memory:
-      case StallKind::Trap:
-        return TraceState::SpecRun;
-      case StallKind::Handler:
-        return TraceState::SpecOverhead;
-      default:
-        return TraceState::SpecWait;
-    }
+    return specActive || cfg.referenceStep || (fault && fault->armed());
 }
 
 std::uint64_t
@@ -372,16 +186,17 @@ Machine::advance(std::uint64_t budget)
 {
     if (budget == 0)
         return 0;
-    // Armed fault injectors poll every cycle; non-power-of-two CPU
-    // counts make batched double accounting inexact.  Both are rare:
-    // take the reference path wholesale.
-    if (!fastPathOk || (fault && fault->armed())) {
-        JRPM_HPROF(StepExact);
+    if (!exactOnly())
+        return advanceSequential(budget);
+    // One profiler scope per run of reference cycles, not per cycle:
+    // the scope's own cost would otherwise rival a speculative step.
+    JRPM_HPROF(StepExact);
+    std::uint64_t used = 0;
+    do {
         step();
-        return 1;
-    }
-    return specActive ? advanceSpeculative(budget)
-                      : advanceSequential(budget);
+        ++used;
+    } while (used < budget && !halted() && exactOnly());
+    return used;
 }
 
 std::uint64_t
@@ -465,235 +280,6 @@ Machine::advanceSequential(std::uint64_t budget)
         const std::uint64_t b = executeBurst(c, budget - used + 1);
         used += b - 1;
         execStats.serial += static_cast<double>(b);
-    }
-    return used;
-}
-
-std::uint64_t
-Machine::advanceSpeculative(std::uint64_t budget)
-{
-    std::uint64_t used = 0;
-    while (used < budget) {
-        if (!specActive || halted())
-            break; // reclassify in advance()
-        std::uint64_t cap = budget - used;
-        if (cfg.watchdog.enabled) {
-            const Cycle deadline =
-                lastHeadProgress + cfg.watchdog.noProgressCycles;
-            if (cycle >= deadline) {
-                JRPM_HPROF(StepExact);
-                step(); // fires the watchdog at the exact cycle
-                ++used;
-                continue;
-            }
-            cap = std::min<std::uint64_t>(cap, deadline - cycle);
-        }
-
-        // Classify every core: cycles to its next event, and whether
-        // it executes.  Anything order-sensitive this cycle (squash,
-        // resolvable wait, non-local instruction) falls back to one
-        // reference step.
-        std::uint64_t quiet = ~0ull;
-        bool slow = false;
-        {
-            JRPM_HPROF(EventHorizon);
-            burstRunners.clear();
-            for (auto &d : cores) {
-                if (d.mode == CpuMode::Halted ||
-                    d.mode == CpuMode::Parked)
-                    continue;
-                if (d.squashed) {
-                    slow = true;
-                    break;
-                }
-                switch (d.stall) {
-                  case StallKind::None:
-                    burstRunners.push_back(&d);
-                    break;
-                  case StallKind::Memory:
-                  case StallKind::Trap:
-                  case StallKind::Handler:
-                    quiet =
-                        std::min<std::uint64_t>(quiet, d.stallCycles);
-                    break;
-                  default: // WaitHead / Overflow / Exception
-                    if (isHead(d.id))
-                        slow = true; // resolves this cycle
-                    break;
-                }
-                if (slow)
-                    break;
-            }
-            // First approval of a prospective window: all runner
-            // approvals start from scratch (runLeft is 0 on every
-            // core that was not just mid-window, see the resets).
-            if (!slow && !roundApprove())
-                slow = true;
-        }
-        if (slow || quiet == 0) {
-            // A failed or unused approval may have granted runs to
-            // earlier runners before rejecting a later one; they must
-            // not survive into an exact step.
-            for (Core *r : burstRunners)
-                r->runLeft = 0;
-            roundMemMask = 0;
-            // The "why can't speculative mode batch?" count: this
-            // window needed the cycle-exact reference path.
-            ++execStats.specSlowSteps;
-            if (curLs)
-                ++curLs->slowSteps;
-            JRPM_HPROF(StepExact);
-            step();
-            ++used;
-            continue;
-        }
-        const std::uint64_t k = std::min<std::uint64_t>(quiet, cap);
-
-        // Open a window of up to k cycles.  Runners retire one
-        // provably core-local instruction per cycle in CPU order;
-        // nobody else's classification can change under them, so the
-        // Fig. 10 accounting and stall countdowns batch at the end.
-        std::uint64_t b = 0;
-        {
-            JRPM_HPROF(SpecDispatch);
-            inSpecWindow = true;
-            ++cycle;
-            for (auto &d : cores)
-                noteState(d, specWindowState(d));
-            for (Core *r : burstRunners)
-                r->windowRunner = true;
-            // Rounds execute in segments.  A segment is the longest
-            // stretch every runner is approved for (the minimum of
-            // their remaining runs, capped by the window).  A segment
-            // of pure straight-line transparent instructions is
-            // core-local by construction, so instead of the lockstep
-            // round-robin its rounds execute as one tight consecutive
-            // loop per runner -- same final state, far better host
-            // locality.  Any data-checked op (memory, jr, div)
-            // approves a single round, so segments containing one
-            // degenerate to the exact interleave.  The next approval
-            // only looks at runners whose run expired.
-            Core *const *const runners = burstRunners.data();
-            const std::size_t nRunners = burstRunners.size();
-            for (;;) {
-                std::uint64_t seg = k - b;
-                for (std::size_t i = 0; i < nRunners; ++i)
-                    seg = std::min<std::uint64_t>(
-                        seg, runners[i]->runLeft);
-                // A round that retires a memory op stays a lockstep
-                // interleave even when every approval extends past it
-                // (shared cache state is order-sensitive).
-                if (roundMemMask)
-                    seg = 1;
-                bool expired = false;
-                if (seg > 1) {
-                    // A pc-altering op can only be the last of a run
-                    // (linearRun terminates there), so within the
-                    // segment the stream is consecutive.
-                    for (std::size_t i = 0; i < nRunners; ++i) {
-                        Core *r = runners[i];
-                        const Inst *base = r->frameBase;
-                        for (std::uint64_t j = 0; j < seg; ++j) {
-                            const Inst &inst = base[r->pc.index];
-                            ++r->pc.index;
-                            execInst(*r, inst);
-                        }
-                        expired |= (r->runLeft -= seg) == 0;
-                    }
-                } else {
-                    seg = 1;
-                    for (std::size_t i = 0; i < nRunners; ++i) {
-                        Core *r = runners[i];
-                        const Inst &inst = r->frameBase[r->pc.index];
-                        ++r->pc.index;
-                        execInst(*r, inst);
-                        expired |= --r->runLeft == 0;
-                    }
-                }
-                b += seg;
-                cycle += seg - 1;
-                // Memory ops checked their stall at approval time in
-                // the single-round scheme; with run extension the
-                // miss is only discoverable now, right after the op's
-                // round.  A stalled runner must not retire another
-                // instruction, so the window closes exactly as if
-                // the next approval had seen the stall.
-                bool memStalled = false;
-                if (roundMemMask) {
-                    std::uint32_t m = roundMemMask;
-                    roundMemMask = 0;
-                    do {
-                        const unsigned i =
-                            static_cast<unsigned>(
-                                __builtin_ctz(m));
-                        m &= m - 1;
-                        memStalled |=
-                            runners[i]->stall != StallKind::None;
-                    } while (m);
-                }
-                if (b >= k)
-                    break;
-                if (memStalled)
-                    break;
-                if (expired && !roundApprove())
-                    break;
-                ++cycle;
-            }
-            inSpecWindow = false;
-            nInsts += b * nRunners;
-            // No approval outlives its window: the next window (or an
-            // exact step) must re-approve everyone.
-            for (std::size_t i = 0; i < nRunners; ++i)
-                runners[i]->runLeft = 0;
-            roundMemMask = 0;
-        }
-        execStats.burstSpans.sample(b);
-        if (curLs)
-            curLs->burstSpans.sample(b);
-        {
-            JRPM_HPROF(EventHorizon);
-            const double amt = specShare * static_cast<double>(b);
-            // Runners are classified at window open: one that stalled
-            // in its final round still ran every round, and its
-            // countdown only starts next cycle -- so it must not fall
-            // into the stall-batching switch below.
-            for (Core *r : burstRunners)
-                r->tentativeRun += amt;
-            for (auto &d : cores) {
-                if (d.windowRunner) {
-                    d.windowRunner = false;
-                    continue;
-                }
-                if (d.mode == CpuMode::Halted)
-                    continue;
-                if (d.mode == CpuMode::Parked) {
-                    execStats.waitUsed += amt;
-                    continue;
-                }
-                switch (d.stall) {
-                  case StallKind::None:
-                    d.tentativeRun += amt;
-                    break;
-                  case StallKind::Memory:
-                  case StallKind::Trap:
-                    d.tentativeRun += amt;
-                    d.stallCycles -= b;
-                    if (d.stallCycles == 0)
-                        d.stall = StallKind::None;
-                    break;
-                  case StallKind::Handler:
-                    execStats.overhead += amt;
-                    d.stallCycles -= b;
-                    if (d.stallCycles == 0)
-                        d.stall = StallKind::None;
-                    break;
-                  default:
-                    d.tentativeWait += amt;
-                    break;
-                }
-            }
-        }
-        used += b;
     }
     return used;
 }
@@ -932,9 +518,9 @@ Machine::execInst(Core &c, const Inst &inst)
       case Op::ADDU: wr(inst.rd, r[inst.rs] + r[inst.rt]); break;
       case Op::SUBU: wr(inst.rd, r[inst.rs] - r[inst.rt]); break;
       case Op::MUL:
-        wr(inst.rd, static_cast<Word>(
-            static_cast<SWord>(r[inst.rs]) *
-            static_cast<SWord>(r[inst.rt])));
+        // Unsigned: the same low 32 bits as the signed product,
+        // without signed-overflow UB.
+        wr(inst.rd, r[inst.rs] * r[inst.rt]);
         break;
       case Op::DIV:
       case Op::REM: {
@@ -1025,10 +611,15 @@ Machine::execInst(Core &c, const Inst &inst)
         wr(inst.rd, floatToWord(
             static_cast<float>(static_cast<SWord>(r[inst.rs]))));
         break;
-      case Op::CVTWS:
-        wr(inst.rd, static_cast<Word>(
-            static_cast<SWord>(f(inst.rs))));
+      case Op::CVTWS: {
+        // NaN and out-of-range inputs give INT32_MIN (the x86
+        // cvttss2si result) instead of undefined behaviour.
+        const float x = f(inst.rs);
+        wr(inst.rd, x >= -2147483648.0f && x < 2147483648.0f
+                        ? static_cast<Word>(static_cast<SWord>(x))
+                        : 0x80000000u);
         break;
+      }
       case Op::LW: case Op::LB: case Op::LBU: case Op::LH:
       case Op::LHU: case Op::LWNV: case Op::SW: case Op::SB:
       case Op::SH:
@@ -1217,14 +808,9 @@ Machine::doLoad(Core &c, Addr addr, std::uint32_t len, bool sign_extend,
         std::uint64_t supplierIter = 0;
         // Write-set signature probe: when the line misses every
         // less-speculative buffer -- the common case -- the whole
-        // overlay scan is provably a no-op and is skipped.  Inside a
-        // burst window the round approval already probed the current
-        // signatures (any prior-round store is visible to it, and a
-        // same-round same-word store closes the window), so the scan
-        // is a proven no-op and is not even probed for; only exact
-        // dispatch counts sig_hits / sig_false_positives.
+        // overlay scan is provably a no-op and is skipped.
         bool mayForward = false;
-        if (!inSpecWindow) {
+        {
             JRPM_HPROF(SigCheck);
             for (const auto &d : cores) {
                 if (d.id == c.id || d.mode != CpuMode::Speculative ||
@@ -1387,12 +973,6 @@ Machine::doStore(Core &c, Addr addr, std::uint32_t len, Word value,
 
     // Violation broadcast: any more-speculative thread that consumed
     // this word too early must restart (write-bus snoop in Hydra).
-    // Inside a burst window the round approval already probed the
-    // read-set signatures (a same-round same-word reader closes the
-    // window), so the broadcast is a proven no-op; only exact
-    // dispatch counts sig_hits / sig_false_positives.
-    if (inSpecWindow)
-        return 0;
     // Read-set signature probe first: a miss in every more-speculative
     // core proves no reader and skips the per-word broadcast.
     bool mayViolate = false;
@@ -1458,25 +1038,6 @@ Machine::doStore(Core &c, Addr addr, std::uint32_t len, Word value,
 
 void
 Machine::execMemOp(Core &c, const Inst &inst)
-{
-    if (inSpecWindow) {
-        // Retiring inside a burst window: the signature check proved
-        // this op cannot fault, overflow or violate here; it may only
-        // gain a stall, which closes the window after this round.
-        // (No profiler scope: this retire path is hot enough that the
-        // disabled-scope check itself is measurable; host cycles land
-        // in the enclosing spec_dispatch slot.)
-        ++execStats.specFastMem;
-        if (curLs)
-            ++curLs->specFastMem;
-        execMemOpImpl(c, inst);
-        return;
-    }
-    execMemOpImpl(c, inst);
-}
-
-void
-Machine::execMemOpImpl(Core &c, const Inst &inst)
 {
     const Addr addr = c.regs[inst.rs] + static_cast<Word>(inst.imm);
     const Pc instPc = {c.pc.method, c.pc.index - 1};
@@ -2388,11 +1949,6 @@ Machine::publishMetrics(MetricsRegistry &reg) const
             .inc(execStats.governorAborts);
         reg.counter("tls.violations_suppressed")
             .inc(execStats.violationsSuppressed);
-        reg.counter("tls.spec_windows").inc(execStats.burstSpans.count);
-        reg.counter("tls.spec_window_insts")
-            .inc(execStats.burstSpans.sum);
-        reg.counter("tls.spec_slow_steps").inc(execStats.specSlowSteps);
-        reg.counter("tls.spec_fast_mem").inc(execStats.specFastMem);
         reg.counter("tls.sig_hits").inc(execStats.sigHits);
         reg.counter("tls.sig_false_positives")
             .inc(execStats.sigFalsePositives);
@@ -2432,10 +1988,6 @@ Machine::publishMetrics(MetricsRegistry &reg) const
         }
         h.l2Hits = &reg.counter("cache.l2.hits");
         h.l2Misses = &reg.counter("cache.l2.misses");
-        h.specWindows = &reg.counter("tls.spec_windows");
-        h.specWindowInsts = &reg.counter("tls.spec_window_insts");
-        h.specSlowSteps = &reg.counter("tls.spec_slow_steps");
-        h.specFastMem = &reg.counter("tls.spec_fast_mem");
         h.sigHits = &reg.counter("tls.sig_hits");
         h.sigFalsePositives = &reg.counter("tls.sig_false_positives");
         h.forwardedLoads = &reg.counter("tls.forwarded_loads");
@@ -2463,10 +2015,6 @@ Machine::publishMetrics(MetricsRegistry &reg) const
     }
     h.l2Hits->inc(l2.hits());
     h.l2Misses->inc(l2.misses());
-    h.specWindows->inc(execStats.burstSpans.count);
-    h.specWindowInsts->inc(execStats.burstSpans.sum);
-    h.specSlowSteps->inc(execStats.specSlowSteps);
-    h.specFastMem->inc(execStats.specFastMem);
     h.sigHits->inc(execStats.sigHits);
     h.sigFalsePositives->inc(execStats.sigFalsePositives);
     h.forwardedLoads->inc(execStats.forwardedLoads);
@@ -2489,14 +2037,10 @@ Machine::publishLoopMetrics(MetricsRegistry &reg) const
         reg.counter(p + ".solo_entries").inc(ls.soloEntries);
         reg.counter(p + ".governor_aborts").inc(ls.governorAborts);
         reg.counter(p + ".cycles_inside").inc(ls.cyclesInside);
-        reg.counter(p + ".slow_steps").inc(ls.slowSteps);
-        reg.counter(p + ".spec_fast_mem").inc(ls.specFastMem);
         reg.counter(p + ".sig_hits").inc(ls.sigHits);
         reg.counter(p + ".sig_false_positives")
             .inc(ls.sigFalsePositives);
         reg.counter(p + ".forwarded_loads").inc(ls.forwardedLoads);
-        reg.counter(p + ".burst_windows").inc(ls.burstSpans.count);
-        reg.counter(p + ".burst_insts").inc(ls.burstSpans.sum);
         reg.histogram(p + ".thread_cycles").merge(ls.threadCycles);
     }
 }

@@ -175,6 +175,9 @@ class Machine
     std::uint64_t instCount() const { return nInsts; }
     /** Dynamic data-memory operation count (loads + stores). */
     std::uint64_t memOpCount() const { return nMemOps; }
+    /** Cycles run through step(); the rest of now() was batched by
+     *  the sequential event horizon.  Host-side only. */
+    std::uint64_t stepCount() const { return nSteps; }
 
     /** Per-CPU view, for tests. */
     const Core &core(std::uint32_t cpu) const { return cores[cpu]; }
@@ -222,6 +225,7 @@ class Machine
     Cycle cycle = 0;
     std::uint64_t nInsts = 0;
     std::uint64_t nMemOps = 0;
+    std::uint64_t nSteps = 0;
     Word exitVal = 0;
     bool uncaughtExc = false;
     std::uint32_t seqCpu = 0;      ///< CPU owning sequential execution
@@ -263,7 +267,7 @@ class Machine
     ExecStats execStats;
     StlStatsMap stlRuntime;
 
-    /** Cached &stlRuntime[stlLoopId] so per-window telemetry avoids a
+    /** Cached &stlRuntime[stlLoopId] so per-event telemetry avoids a
      *  map lookup; kept in sync wherever stlLoopId changes.  Map nodes
      *  are address-stable, so the pointer survives later insertions. */
     StlRuntimeStats *curLs = nullptr;
@@ -296,10 +300,6 @@ class Machine
         Counter *l2Hits = nullptr;
         Counter *l2Misses = nullptr;
         // dependence telemetry
-        Counter *specWindows = nullptr;
-        Counter *specWindowInsts = nullptr;
-        Counter *specSlowSteps = nullptr;
-        Counter *specFastMem = nullptr;
         Counter *sigHits = nullptr;
         Counter *sigFalsePositives = nullptr;
         Counter *forwardedLoads = nullptr;
@@ -311,47 +311,20 @@ class Machine
     // ---- event-horizon fast path ------------------------------------
     /** 1/numCpus, hoisted out of the per-cycle accounting. */
     double specShare = 0.25;
-    /** numCpus is a power of two, so batch-adding share*k is bit-
-     *  identical to k repeated adds; otherwise the fast path is off. */
-    bool fastPathOk = true;
-    /** Scratch list of cores executing in the current burst window
-     *  (reused across windows to avoid per-window allocation). */
-    std::vector<Core *> burstRunners;
-    /** True while a speculative burst window is executing its rounds:
-     *  memory ops reached from there were proved core-local by the
-     *  signature check (spec_fast_mem accounting). */
-    bool inSpecWindow = false;
-    /** One approved memory op of the current round (hazard check). */
-    struct RoundMem
-    {
-        Addr word;
-        std::uint64_t iteration;
-        bool store;
-    };
-    /** Scratch list of the round's approved memory ops (<= numCpus),
-     *  reused across rounds to avoid per-round allocation. */
-    std::vector<RoundMem> roundMem;
-
-    /**
-     * Bit i set: burstRunners[i]'s next round retires an approved
-     * memory op.  That round must execute as a lockstep interleave
-     * (shared cache state is order-sensitive) and the op may gain a
-     * miss stall, which is checked right after the round instead of
-     * at the next approval -- the approval already extends into the
-     * transparent run that follows the op.  Always consumed by the
-     * round after the approval that set it; cleared with runLeft on
-     * every window close and slow fallback.
-     */
-    std::uint32_t roundMemMask = 0;
-
     /**
      * Advance by 1..@p budget cycles with accounting bit-identical to
-     * that many step() calls, batching quiet spans and bursting
-     * event-free instruction runs.  Returns the cycles consumed.
+     * that many step() calls: sequential spans take
+     * advanceSequential(), everything else (see exactOnly()) a run of
+     * step() calls.  Returns the cycles consumed.
      */
     std::uint64_t advance(std::uint64_t budget);
+    /** True while every cycle must run step(): under speculation, with
+     *  an armed fault injector (it polls per cycle) or under
+     *  SystemConfig::referenceStep. */
+    bool exactOnly() const;
+    /** Batch stall spans and burst event-free instruction runs of the
+     *  sequential CPU. */
     std::uint64_t advanceSequential(std::uint64_t budget);
-    std::uint64_t advanceSpeculative(std::uint64_t budget);
     /** Retire up to @p max_insts sequential instructions, one cycle
      *  each; the caller verified the first is in range and not a
      *  burst stopper.  Returns instructions retired (>= 1). */
@@ -364,38 +337,14 @@ class Machine
     /** True if @p inst must take the per-cycle path outside
      *  speculation: speculation control reorders cross-core state. */
     bool burstStop(const Inst &inst) const;
-    /**
-     * Approve the next round for every runner whose remaining
-     * approved run (Core::runLeft) has expired; false if the window
-     * must close.  A runner sitting on a straight-line transparent
-     * run approves its whole run with one byte load (JIT-side table)
-     * and is not looked at again until the run ends; memory ops run
-     * the signature eligibility check and approve exactly one round,
-     * so every memory op is re-checked against the signatures of the
-     * round it executes in.  Approved same-round store/load pairs to
-     * one word close the window so step() orders them cycle-exactly.
-     * Callers must guarantee runLeft == 0 for all runners on the
-     * first approval of a window (see the reset on window close).
-     */
-    bool roundApprove();
-    /** True if speculative memory op (@p store, @p addr, @p len) may
-     *  retire inside a burst window: it provably cannot fault,
-     *  overflow a buffer, forward from another core or violate a
-     *  reader (write/read-set signature check).  Stalls it *gains*
-     *  (cache misses) close the window after its round instead. */
-    bool memEligibleFast(const Core &c, Op op, bool store, Addr addr,
-                         std::uint32_t len) const;
     /** Emit this cycle's states for a sequential span: @p s for the
      *  sequential CPU, Idle for everyone else, in CPU order. */
     void noteSequentialStates(Core &c, TraceState s);
-    /** The state a core occupies for a whole speculative window. */
-    TraceState specWindowState(const Core &c) const;
 
     // ---- stepping ---------------------------------------------------
     void stepCpu(Core &c);
     void execute(Core &c);
     void execMemOp(Core &c, const Inst &inst);
-    void execMemOpImpl(Core &c, const Inst &inst);
     void execScop(Core &c, const Inst &inst);
     void execSmem(Core &c, const Inst &inst);
     void execTrap(Core &c, const Inst &inst);

@@ -4,8 +4,9 @@
  * tests/corpus/ must load, render to its recorded program hash,
  * reproduce its recorded sequential exit checksum, and replay
  * cleanly through the full pipeline plus a forced per-loop
- * speculation sweep under the strict differential oracle — with the
- * speculative memory fast path BOTH forced on and forced off.
+ * speculation sweep under the strict differential oracle — both with
+ * the default dispatch and with SystemConfig::referenceStep (every
+ * cycle through Machine::step()).
  *
  * Distilled corpora land in the same directory and format, so every
  * scenario the coverage-guided forge promotes to a regression case
@@ -31,12 +32,12 @@ namespace
 using forge::CorpusEntry;
 
 JrpmConfig
-replayConfig(bool fast_path)
+replayConfig(bool reference)
 {
     JrpmConfig cfg;
     cfg.oracle.mode = OracleMode::Strict;
     cfg.vm.heapBytes = 4u << 20;
-    cfg.sys.specMemFastPath = fast_path;
+    cfg.sys.referenceStep = reference;
     return cfg;
 }
 
@@ -46,12 +47,12 @@ class CorpusReplay : public ::testing::TestWithParam<bool>
 
 TEST_P(CorpusReplay, EveryEntryReplaysCleanly)
 {
-    const bool fastPath = GetParam();
+    const bool reference = GetParam();
     const std::vector<std::string> files =
         forge::listCorpus(JRPM_FORGE_CORPUS_DIR);
     ASSERT_GE(files.size(), 10u)
         << "checked-in corpus missing at " JRPM_FORGE_CORPUS_DIR;
-    const JrpmConfig cfg = replayConfig(fastPath);
+    const JrpmConfig cfg = replayConfig(reference);
     for (const std::string &path : files) {
         CorpusEntry e;
         std::string err;
@@ -76,11 +77,10 @@ TEST_P(CorpusReplay, EveryEntryReplaysCleanly)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(FastPathOnOff, CorpusReplay,
-                         ::testing::Bool(),
+INSTANTIATE_TEST_SUITE_P(Dispatch, CorpusReplay, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool> &i) {
-                             return i.param ? "FastPathOn"
-                                            : "FastPathOff";
+                             return i.param ? "ReferenceStep"
+                                            : "Default";
                          });
 
 } // namespace

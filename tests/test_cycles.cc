@@ -4,7 +4,9 @@
  * `ExecStats` buckets and instruction counts for three small workloads
  * in sequential, profiled and TLS modes, pinned to the values the
  * cycle-accurate reference loop produced before the event-horizon
- * fast path landed.
+ * fast path landed.  Every golden runs twice in-process: with the
+ * default dispatch and with SystemConfig::referenceStep (every cycle
+ * through Machine::step()).
  *
  * These numbers ARE the paper's figures: Fig. 9/10 and Tables 3-4 are
  * derived from exactly these counters, so any simulator change that
@@ -16,6 +18,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -72,28 +76,15 @@ smallArgs(const std::string &name)
     return {300}; // IDEA
 }
 
-/**
- * JRPM_SPEC_FASTPATH=0 disables the speculative-window memory fast
- * path so the whole suite runs against the cycle-exact reference
- * dispatch.  The ExecStats goldens must hold either way (the fast
- * path is bit-identical by construction); only the dispatch-shape
- * telemetry (windows, slow steps, in-window retires) differs.
- */
-bool
-specFastPathEnabled()
-{
-    const char *env = std::getenv("JRPM_SPEC_FASTPATH");
-    return !(env && *env == '0');
-}
-
 RunOutcome
-runMode(const std::string &workload, const std::string &mode)
+runMode(const std::string &workload, const std::string &mode,
+        bool reference)
 {
     Workload w = wl::workloadByName(workload);
     const std::vector<Word> args = smallArgs(workload);
     w.mainArgs = args;
     JrpmConfig cfg;
-    cfg.sys.specMemFastPath = specFastPathEnabled();
+    cfg.sys.referenceStep = reference;
     JrpmSystem sys(w, cfg);
     if (mode == "seq")
         return sys.runSequential(args, false, nullptr);
@@ -127,21 +118,33 @@ printRow(const char *workload, const char *mode, const RunOutcome &out)
                 static_cast<unsigned long long>(st.violations));
 }
 
-class GoldenCycles : public ::testing::TestWithParam<Golden>
+/** (golden row, referenceStep). */
+using GoldenParam = std::tuple<Golden, bool>;
+
+class GoldenCycles : public ::testing::TestWithParam<GoldenParam>
 {
 };
 
 TEST_P(GoldenCycles, ExactMatch)
 {
-    const Golden &g = GetParam();
-    const RunOutcome out = runMode(g.workload, g.mode);
+    const auto &[g, reference] = GetParam();
+    const RunOutcome out = runMode(g.workload, g.mode, reference);
     ASSERT_TRUE(out.halted) << g.workload << "/" << g.mode;
     ASSERT_FALSE(out.uncaught) << g.workload << "/" << g.mode;
 
     if (regenRequested()) {
-        printRow(g.workload, g.mode, out);
+        if (!reference)
+            printRow(g.workload, g.mode, out);
         GTEST_SKIP() << "golden regeneration mode";
     }
+
+    // The two sides really took different dispatchers: referenceStep
+    // runs every cycle through step(); the default batches sequential
+    // cycles.
+    if (reference)
+        EXPECT_EQ(out.steps, out.cycles);
+    else
+        EXPECT_LT(out.steps, out.cycles);
 
     const ExecStats &st = out.stats;
     EXPECT_EQ(out.cycles, g.cycles);
@@ -160,11 +163,11 @@ TEST_P(GoldenCycles, ExactMatch)
 
 TEST_P(GoldenCycles, RepeatableAcrossRuns)
 {
-    const Golden &g = GetParam();
+    const auto &[g, reference] = GetParam();
     if (regenRequested())
         GTEST_SKIP() << "golden regeneration mode";
-    const RunOutcome a = runMode(g.workload, g.mode);
-    const RunOutcome b = runMode(g.workload, g.mode);
+    const RunOutcome a = runMode(g.workload, g.mode, reference);
+    const RunOutcome b = runMode(g.workload, g.mode, reference);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.insts, b.insts);
     EXPECT_EQ(a.stats.serial, b.stats.serial);
@@ -175,13 +178,17 @@ TEST_P(GoldenCycles, RepeatableAcrossRuns)
 }
 
 std::string
-goldenName(const ::testing::TestParamInfo<Golden> &info)
+goldenName(const ::testing::TestParamInfo<GoldenParam> &info)
 {
-    return std::string(info.param.workload) + "_" + info.param.mode;
+    const auto &[g, reference] = info.param;
+    return std::string(g.workload) + "_" + g.mode +
+           (reference ? "_reference" : "");
 }
 
 INSTANTIATE_TEST_SUITE_P(Workloads, GoldenCycles,
-                         ::testing::ValuesIn(kGolden), goldenName);
+                         ::testing::Combine(::testing::ValuesIn(kGolden),
+                                            ::testing::Bool()),
+                         goldenName);
 
 // ---------------------------------------------------------------------
 // Dependence-telemetry goldens.  The observatory counters must be pure
@@ -194,10 +201,6 @@ INSTANTIATE_TEST_SUITE_P(Workloads, GoldenCycles,
 struct TelemetryGolden
 {
     const char *workload;
-    std::uint64_t specWindows;     ///< burstSpans.count
-    std::uint64_t specWindowInsts; ///< burstSpans.sum
-    std::uint64_t specSlowSteps;
-    std::uint64_t specFastMem;     ///< mem ops retired in-window
     std::uint64_t sigHits;
     std::uint64_t forwardedLoads;
     std::uint64_t occupancySamples; ///< storeBufOccupancy.count
@@ -205,46 +208,22 @@ struct TelemetryGolden
     std::uint64_t stackViolations;  ///< violationsByClass[Stack]
 };
 
-/**
- * Dispatch-shape telemetry with the speculative-memory fast path on
- * (the default): memory ops whose signatures prove them core-local
- * retire inside burst windows, so windows are long and slow steps
- * few.
- */
-const TelemetryGolden kTelemetryFast[] = {
+/** The same for the default dispatch and for referenceStep. */
+const TelemetryGolden kTelemetry[] = {
     // clang-format off
-    {"Assignment", 4922ull, 21017ull, 4282ull, 3677ull, 3841ull, 1558ull, 1440ull, 5ull, 0ull},
-    {"Huffman", 3038ull, 20039ull, 6097ull, 6416ull, 1ull, 0ull, 2400ull, 0ull, 0ull},
-    {"IDEA", 2464ull, 56525ull, 3947ull, 18194ull, 13ull, 0ull, 2716ull, 0ull, 0ull},
+    {"Assignment", 3841ull, 1558ull, 1440ull, 5ull, 0ull},
+    {"Huffman", 1ull, 0ull, 2400ull, 0ull, 0ull},
+    {"IDEA", 13ull, 0ull, 2716ull, 0ull, 0ull},
     // clang-format on
 };
 
-/**
- * The same runs with JRPM_SPEC_FASTPATH=0: every speculative memory
- * op falls back to the cycle-exact step, as before the fast path
- * landed.  The ExecStats goldens above hold bit-identically in both
- * modes; only this dispatch shape differs.
- */
-const TelemetryGolden kTelemetryExact[] = {
-    // clang-format off
-    {"Assignment", 6445ull, 17594ull, 7705ull, 0ull, 3841ull, 1558ull, 1440ull, 5ull, 0ull},
-    {"Huffman", 3913ull, 14308ull, 11828ull, 0ull, 1ull, 0ull, 2400ull, 0ull, 0ull},
-    {"IDEA", 11476ull, 41542ull, 18930ull, 0ull, 13ull, 0ull, 2716ull, 0ull, 0ull},
-    // clang-format on
-};
-
-/** Print one row in source form, ready to paste into the telemetry
- *  table matching the active JRPM_SPEC_FASTPATH mode. */
+/** Print one row in source form, ready to paste into kTelemetry. */
 void
 printTelemetryRow(const char *workload, const ExecStats &st)
 {
     std::printf("    {\"%s\", %lluull, %lluull, %lluull, %lluull, "
-                "%lluull, %lluull, %lluull, %lluull, %lluull},\n",
+                "%lluull},\n",
                 workload,
-                static_cast<unsigned long long>(st.burstSpans.count),
-                static_cast<unsigned long long>(st.burstSpans.sum),
-                static_cast<unsigned long long>(st.specSlowSteps),
-                static_cast<unsigned long long>(st.specFastMem),
                 static_cast<unsigned long long>(st.sigHits),
                 static_cast<unsigned long long>(st.forwardedLoads),
                 static_cast<unsigned long long>(
@@ -258,44 +237,40 @@ printTelemetryRow(const char *workload, const ExecStats &st)
 
 TEST(TelemetryGoldens, TlsCountersExactMatch)
 {
-    const auto &table =
-        specFastPathEnabled() ? kTelemetryFast : kTelemetryExact;
-    for (const TelemetryGolden &g : table) {
-        const RunOutcome out = runMode(g.workload, "tls");
-        ASSERT_TRUE(out.halted) << g.workload;
-        const ExecStats &st = out.stats;
+    for (const bool reference : {false, true}) {
+        for (const TelemetryGolden &g : kTelemetry) {
+            SCOPED_TRACE(std::string(g.workload) +
+                         (reference ? " referenceStep" : " default"));
+            const RunOutcome out = runMode(g.workload, "tls", reference);
+            ASSERT_TRUE(out.halted);
+            const ExecStats &st = out.stats;
 
-        if (regenRequested()) {
-            printTelemetryRow(g.workload, st);
-            continue;
+            if (regenRequested()) {
+                if (!reference)
+                    printTelemetryRow(g.workload, st);
+                continue;
+            }
+
+            EXPECT_EQ(st.sigHits, g.sigHits);
+            EXPECT_EQ(st.forwardedLoads, g.forwardedLoads);
+            EXPECT_EQ(st.storeBufOccupancy.count, g.occupancySamples);
+            EXPECT_EQ(st.squashCauses[static_cast<std::size_t>(
+                          SquashCause::RawViolation)],
+                      g.rawSquashes);
+            EXPECT_EQ(st.violationsByClass[static_cast<std::size_t>(
+                          AddrClass::Stack)],
+                      g.stackViolations);
+
+            // Internal consistency: every violation has exactly one
+            // squash cause and one address class.
+            std::uint64_t causes = 0, classes = 0;
+            for (std::size_t k = 0; k < kNumSquashCauses; ++k)
+                causes += st.squashCauses[k];
+            for (std::size_t k = 0; k < kNumAddrClasses; ++k)
+                classes += st.violationsByClass[k];
+            EXPECT_EQ(classes, st.violations);
+            EXPECT_GE(causes, st.violations);
         }
-
-        EXPECT_EQ(st.burstSpans.count, g.specWindows) << g.workload;
-        EXPECT_EQ(st.burstSpans.sum, g.specWindowInsts) << g.workload;
-        EXPECT_EQ(st.specSlowSteps, g.specSlowSteps) << g.workload;
-        EXPECT_EQ(st.specFastMem, g.specFastMem) << g.workload;
-        EXPECT_EQ(st.sigHits, g.sigHits) << g.workload;
-        EXPECT_EQ(st.forwardedLoads, g.forwardedLoads) << g.workload;
-        EXPECT_EQ(st.storeBufOccupancy.count, g.occupancySamples)
-            << g.workload;
-        EXPECT_EQ(st.squashCauses[static_cast<std::size_t>(
-                      SquashCause::RawViolation)],
-                  g.rawSquashes)
-            << g.workload;
-        EXPECT_EQ(st.violationsByClass[static_cast<std::size_t>(
-                      AddrClass::Stack)],
-                  g.stackViolations)
-            << g.workload;
-
-        // Internal consistency: every violation has exactly one
-        // squash cause and one address class.
-        std::uint64_t causes = 0, classes = 0;
-        for (std::size_t k = 0; k < kNumSquashCauses; ++k)
-            causes += st.squashCauses[k];
-        for (std::size_t k = 0; k < kNumAddrClasses; ++k)
-            classes += st.violationsByClass[k];
-        EXPECT_EQ(classes, st.violations) << g.workload;
-        EXPECT_GE(causes, st.violations) << g.workload;
     }
     if (regenRequested())
         GTEST_SKIP() << "golden regeneration mode";

@@ -84,14 +84,9 @@ sampleCase(std::uint64_t seed)
     cr.violations = 42;
     cr.commits = 17;
     cr.overflowStalls = 5;
-    cr.specWindows = 9;
-    cr.specWindowInsts = 9000;
-    cr.specSlowSteps = 11;
-    cr.specFastMem = 4400;
     cr.sigHits = 77;
     cr.sigFalsePositives = 13;
     cr.forwardedLoads = 23;
-    cr.meanBurst = 812.5;
     for (std::size_t i = 0; i < cr.squashCauses.size(); ++i)
         cr.squashCauses[i] = 100 + i;
     for (std::size_t i = 0; i < cr.violationsByClass.size(); ++i)
@@ -129,14 +124,9 @@ expectSameCase(const forge::CaseResult &a, const forge::CaseResult &b)
     EXPECT_EQ(a.violations, b.violations);
     EXPECT_EQ(a.commits, b.commits);
     EXPECT_EQ(a.overflowStalls, b.overflowStalls);
-    EXPECT_EQ(a.specWindows, b.specWindows);
-    EXPECT_EQ(a.specWindowInsts, b.specWindowInsts);
-    EXPECT_EQ(a.specSlowSteps, b.specSlowSteps);
-    EXPECT_EQ(a.specFastMem, b.specFastMem);
     EXPECT_EQ(a.sigHits, b.sigHits);
     EXPECT_EQ(a.sigFalsePositives, b.sigFalsePositives);
     EXPECT_EQ(a.forwardedLoads, b.forwardedLoads);
-    EXPECT_DOUBLE_EQ(a.meanBurst, b.meanBurst);
     EXPECT_EQ(a.squashCauses, b.squashCauses);
     EXPECT_EQ(a.violationsByClass, b.violationsByClass);
     EXPECT_EQ(a.loopSquashes, b.loopSquashes);

@@ -595,18 +595,18 @@ TEST(ForgeDistill, MinimalCorpusCoversEveryObservedSignature)
         EXPECT_TRUE(again.corpus[i] == dr.corpus[i]) << i;
 }
 
-// ---- speculative fast-path differential ------------------------------
+// ---- fast-path vs reference-step differential ------------------------
 
-TEST(ForgeDifferential, FastPathOnOffSemanticallyIdentical)
+TEST(ForgeDifferential, FastPathMatchesReferenceStep)
 {
     // Tier-1 slice of the release equivalence campaign (the bench
     // runs >= 200 cases via --diff-fastpath): each scenario runs the
-    // full pipeline with the signature fast path forced on and forced
-    // off, and everything the simulated machine can observe — cycles,
-    // Fig. 10 buckets, violations, forwarding, cache counters, VM
-    // output, the strict oracle's memory checksum — must match
-    // bit-for-bit, for the pipeline run and every forced
-    // decomposition.
+    // full pipeline with the default dispatch and with referenceStep
+    // (every cycle through Machine::step()), and everything the
+    // simulated machine can observe — cycles, every ExecStats field,
+    // cache counters, VM output, the strict oracle's memory checksum
+    // — must match bit-for-bit for all four runs of the pipeline, and
+    // the forced decompositions must agree.
     forge::CampaignConfig cc;
     cc.cases = 12;
     cc.seed = 0xd1ff;
@@ -615,9 +615,11 @@ TEST(ForgeDifferential, FastPathOnOffSemanticallyIdentical)
         forge::runFastPathDifferential(cc);
     EXPECT_TRUE(res.clean()) << res.summary();
     EXPECT_EQ(res.cases, 12u);
-    // The differential is vacuous unless the on-runs actually took
-    // the fast path.
-    EXPECT_GT(res.fastMemRetired, 0u) << res.summary();
+    // The differential is vacuous unless the two sides took
+    // different dispatchers: the default batches cycles past step(),
+    // the reference never does.
+    EXPECT_GT(res.fastBatched, 0u) << res.summary();
+    EXPECT_EQ(res.refBatched, 0u) << res.summary();
 }
 
 // ---- regressions for bugs the forge found ----------------------------
