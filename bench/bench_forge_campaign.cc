@@ -60,11 +60,14 @@
  *  abort() on that scenario — the poison-case test hook.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
+#include <string>
 
 #include <unistd.h>
 
@@ -91,6 +94,99 @@ namespace
 using forge::CorpusEntry;
 using forge::ScenarioSpec;
 
+/** The common bench flags plus this harness's own. */
+struct CampaignOptions : Options
+{
+    std::string axes;        ///< --axes=<list|all>
+    std::string corpusOut;   ///< --corpus-out=<dir>
+    std::string replayDir;   ///< --replay=<dir>
+    std::string emitStarter; ///< --emit-starter=<dir>
+    bool shrinkDemo = false; ///< --shrink-demo
+    std::string analyticsOut;    ///< --analytics-out=<path>
+    // Fleet orchestrator flags.
+    bool fleet = false;          ///< --fleet: multi-process campaign
+    std::string manifest;        ///< --manifest=<path>
+    std::uint32_t caseTimeoutMs = 120000; ///< --case-timeout-ms=<n>
+    std::uint32_t chaosKillMs = 0;        ///< --chaos-kill-ms=<n>
+    std::string workerRange;     ///< --worker-range=<lo>:<hi>:<att>
+    std::string workerReplay;    ///< --worker-replay=<file>
+    std::string forensics;       ///< --forensics=<dir>
+    bool noForcedSweep = false;  ///< --no-forced-sweep
+    /** --diff-fastpath: default vs SystemConfig::referenceStep
+     *  equivalence campaign. */
+    bool diffFastPath = false;
+    // Coverage-guided forge flags.
+    bool guided = false;            ///< --guided
+    std::uint32_t guidedBatch = 32; ///< --guided-batch=<n>
+    std::string distillDir;         ///< --distill=<dir>
+    std::string weights;            ///< --weights=<bank> (worker)
+};
+
+/** Consume one of this harness's own flags into @p o. */
+bool
+parseCampaignFlag(const char *arg, CampaignOptions &o)
+{
+    const std::string a = arg;
+    auto val = [&](const char *prefix) -> const char * {
+        const std::size_t n = std::strlen(prefix);
+        return a.compare(0, n, prefix) == 0 ? arg + n : nullptr;
+    };
+    auto u32 = [](const char *v) {
+        return static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
+    };
+    if (const char *v = val("--axes=")) {
+        o.axes = v;
+    } else if (const char *v = val("--corpus-out=")) {
+        o.corpusOut = v;
+    } else if (const char *v = val("--replay=")) {
+        o.replayDir = v;
+    } else if (const char *v = val("--emit-starter=")) {
+        o.emitStarter = v;
+    } else if (a == "--shrink-demo") {
+        o.shrinkDemo = true;
+    } else if (const char *v = val("--analytics-out=")) {
+        o.analyticsOut = v;
+    } else if (a == "--fleet") {
+        o.fleet = true;
+    } else if (const char *v = val("--manifest=")) {
+        o.manifest = v;
+    } else if (const char *v = val("--case-timeout-ms=")) {
+        o.caseTimeoutMs = std::max<std::uint32_t>(1, u32(v));
+    } else if (const char *v = val("--chaos-kill-ms=")) {
+        o.chaosKillMs = u32(v);
+    } else if (const char *v = val("--worker-range=")) {
+        o.workerRange = v;
+    } else if (const char *v = val("--worker-replay=")) {
+        o.workerReplay = v;
+    } else if (const char *v = val("--forensics=")) {
+        o.forensics = v;
+    } else if (a == "--no-forced-sweep") {
+        o.noForcedSweep = true;
+    } else if (a == "--diff-fastpath") {
+        o.diffFastPath = true;
+    } else if (a == "--guided") {
+        o.guided = true;
+    } else if (const char *v = val("--guided-batch=")) {
+        o.guidedBatch = std::max<std::uint32_t>(1, u32(v));
+    } else if (const char *v = val("--distill=")) {
+        o.distillDir = v;
+    } else if (const char *v = val("--weights=")) {
+        o.weights = v;
+    } else {
+        return false;
+    }
+    return true;
+}
+
+constexpr const char *kCampaignUsage =
+    "[--axes=<list|all>] [--corpus-out=<dir>] [--replay=<dir>] "
+    "[--emit-starter=<dir>] [--shrink-demo] "
+    "[--analytics-out=<path>] [--fleet] [--manifest=<path>] "
+    "[--case-timeout-ms=<n>] [--chaos-kill-ms=<n>] "
+    "[--forensics=<dir>] [--no-forced-sweep] [--diff-fastpath] "
+    "[--guided] [--guided-batch=<n>] [--distill=<dir>] "
+    "[--weights=<bank>]";
+
 /** Campaign-sized pipeline config: strict oracle unless overridden,
  *  a 4 MB heap. */
 JrpmConfig
@@ -106,7 +202,7 @@ forgeConfig(const Options &opt)
 }
 
 int
-emitStarter(const Options &opt)
+emitStarter(const CampaignOptions &opt)
 {
     int rc = 0;
     for (const ScenarioSpec &spec : forge::starterScenarios()) {
@@ -162,7 +258,7 @@ replayEntry(const std::string &path, const JrpmConfig &cfg)
 }
 
 int
-replayCorpus(const Options &opt)
+replayCorpus(const CampaignOptions &opt)
 {
     const JrpmConfig cfg = forgeConfig(opt);
     const std::vector<std::string> files =
@@ -184,7 +280,7 @@ replayCorpus(const Options &opt)
 }
 
 int
-shrinkDemo(const Options &opt)
+shrinkDemo(const CampaignOptions &opt)
 {
     JrpmConfig cfg = forgeConfig(opt);
     // The deliberate divergence: flip one buffered bit right before
@@ -270,7 +366,7 @@ abortSeedHit(std::uint64_t seed)
  *  and deadlocks need no handling here — dying *is* the protocol
  *  (the supervisor reaps us and harvests --forensics). */
 int
-workerMain(const Options &opt)
+workerMain(const CampaignOptions &opt)
 {
     std::uint64_t lo = 0, hi = 0;
     unsigned attempt = 0;
@@ -342,7 +438,7 @@ workerMain(const Options &opt)
  *  crash (the usual poison-case outcome) is classified by the
  *  supervisor from our wait status. */
 int
-workerReplayMain(const Options &opt)
+workerReplayMain(const CampaignOptions &opt)
 {
     CorpusEntry e;
     std::string err;
@@ -380,7 +476,7 @@ dumpFinalMetrics(const Options &opt)
 /** --distill: reduce a finished campaign to the minimal corpus that
  *  covers every observed behaviour signature. */
 void
-maybeDistill(const Options &opt, const forge::CampaignConfig &cc,
+maybeDistill(const CampaignOptions &opt, const forge::CampaignConfig &cc,
              const forge::CampaignResult &res)
 {
     if (opt.distillDir.empty())
@@ -396,7 +492,7 @@ maybeDistill(const Options &opt, const forge::CampaignConfig &cc,
 }
 
 int
-diffFastPathMain(const Options &opt)
+diffFastPathMain(const CampaignOptions &opt)
 {
     forge::CampaignConfig cc;
     cc.cases = opt.cases;
@@ -420,7 +516,7 @@ diffFastPathMain(const Options &opt)
 }
 
 int
-fleetMain(const Options &opt, const char *argv0)
+fleetMain(const CampaignOptions &opt, const char *argv0)
 {
     if (opt.manifest.empty())
         fatal("--fleet needs --manifest=<path> (the journal that "
@@ -481,7 +577,11 @@ fleetMain(const Options &opt, const char *argv0)
 int
 campaignMain(int argc, char **argv)
 {
-    Options opt = parseArgs(argc, argv);
+    CampaignOptions opt;
+    static_cast<Options &>(opt) = parseArgs(
+        argc, argv,
+        {[&opt](const char *a) { return parseCampaignFlag(a, opt); },
+         kCampaignUsage});
     if (!opt.emitStarter.empty())
         return emitStarter(opt);
     if (!opt.replayDir.empty())

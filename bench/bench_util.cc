@@ -46,7 +46,7 @@ applyCrystal(JrpmConfig &cfg)
 } // namespace
 
 Options
-parseArgs(int argc, char **argv)
+parseArgs(int argc, char **argv, const HarnessFlags &own)
 {
     Options opt;
     bool list = false;
@@ -81,53 +81,10 @@ parseArgs(int argc, char **argv)
                 std::strtoul(argv[i] + 8, nullptr, 10));
         } else if (!std::strncmp(argv[i], "--seed=", 7)) {
             opt.seed = std::strtoull(argv[i] + 7, nullptr, 0);
-        } else if (!std::strncmp(argv[i], "--axes=", 7)) {
-            opt.axes = argv[i] + 7;
-        } else if (!std::strncmp(argv[i], "--corpus-out=", 13)) {
-            opt.corpusOut = argv[i] + 13;
-        } else if (!std::strncmp(argv[i], "--replay=", 9)) {
-            opt.replayDir = argv[i] + 9;
-        } else if (!std::strncmp(argv[i], "--emit-starter=", 15)) {
-            opt.emitStarter = argv[i] + 15;
-        } else if (!std::strcmp(argv[i], "--shrink-demo")) {
-            opt.shrinkDemo = true;
         } else if (!std::strcmp(argv[i], "--hostprof")) {
             opt.hostprof = true;
-        } else if (!std::strncmp(argv[i], "--analytics-out=", 16)) {
-            opt.analyticsOut = argv[i] + 16;
-        } else if (!std::strcmp(argv[i], "--fleet")) {
-            opt.fleet = true;
-        } else if (!std::strncmp(argv[i], "--manifest=", 11)) {
-            opt.manifest = argv[i] + 11;
-        } else if (!std::strncmp(argv[i], "--case-timeout-ms=", 18)) {
-            opt.caseTimeoutMs = static_cast<std::uint32_t>(
-                std::strtoul(argv[i] + 18, nullptr, 10));
-            if (opt.caseTimeoutMs == 0)
-                opt.caseTimeoutMs = 1;
-        } else if (!std::strncmp(argv[i], "--chaos-kill-ms=", 16)) {
-            opt.chaosKillMs = static_cast<std::uint32_t>(
-                std::strtoul(argv[i] + 16, nullptr, 10));
-        } else if (!std::strncmp(argv[i], "--worker-range=", 15)) {
-            opt.workerRange = argv[i] + 15;
-        } else if (!std::strncmp(argv[i], "--worker-replay=", 16)) {
-            opt.workerReplay = argv[i] + 16;
-        } else if (!std::strncmp(argv[i], "--forensics=", 12)) {
-            opt.forensics = argv[i] + 12;
-        } else if (!std::strcmp(argv[i], "--no-forced-sweep")) {
-            opt.noForcedSweep = true;
-        } else if (!std::strcmp(argv[i], "--diff-fastpath")) {
-            opt.diffFastPath = true;
-        } else if (!std::strcmp(argv[i], "--guided")) {
-            opt.guided = true;
-        } else if (!std::strncmp(argv[i], "--guided-batch=", 15)) {
-            opt.guidedBatch = static_cast<std::uint32_t>(
-                std::strtoul(argv[i] + 15, nullptr, 10));
-            if (opt.guidedBatch == 0)
-                opt.guidedBatch = 1;
-        } else if (!std::strncmp(argv[i], "--distill=", 10)) {
-            opt.distillDir = argv[i] + 10;
-        } else if (!std::strncmp(argv[i], "--weights=", 10)) {
-            opt.weights = argv[i] + 10;
+        } else if (own.parse && own.parse(argv[i])) {
+            // consumed by the harness
         } else if (!std::strcmp(argv[i], "--help")) {
             std::printf("usage: %s [--quick] [--only=<benchmark>] "
                         "[--list] [--jobs=<n>] [--repo=<dir>] "
@@ -137,18 +94,8 @@ parseArgs(int argc, char **argv)
                         "[--metrics-out=<path>] "
                         "[--oracle=off|checksum|strict] "
                         "[--fault-plan=<spec>] [--cases=<n>] "
-                        "[--seed=<n>] [--axes=<list|all>] "
-                        "[--corpus-out=<dir>] [--replay=<dir>] "
-                        "[--emit-starter=<dir>] [--shrink-demo] "
-                        "[--hostprof] [--analytics-out=<path>] "
-                        "[--fleet] [--manifest=<path>] "
-                        "[--case-timeout-ms=<n>] "
-                        "[--chaos-kill-ms=<n>] [--forensics=<dir>] "
-                        "[--no-forced-sweep] "
-                        "[--diff-fastpath] [--guided] "
-                        "[--guided-batch=<n>] [--distill=<dir>] "
-                        "[--weights=<bank>]\n",
-                        argv[0]);
+                        "[--seed=<n>] [--hostprof]%s%s\n",
+                        argv[0], *own.usage ? " " : "", own.usage);
             std::exit(0);
         } else {
             fatal("unknown flag '%s' (try --help)", argv[i]);

@@ -13,27 +13,18 @@
  *   --metrics-out=<path> dump the metrics registry (.json for JSON)
  *   --oracle=<mode>      off | checksum | strict differential oracle
  *   --fault-plan=<spec>  inject faults (see FaultPlan::parse)
- *   --cases=<n>          campaign size (bench_robustness)
- *   --seed=<n>           campaign seed (bench_robustness)
+ *   --cases=<n>          campaign size (robustness, forge campaign)
+ *   --seed=<n>           campaign seed (robustness, forge campaign)
  *   --hostprof           enable the host-cycle self-profiler
- *   --analytics-out=<path>  campaign analytics JSON (forge campaign)
- *   --fleet              crash-isolated multi-process campaign
- *   --manifest=<path>    resumable fleet progress journal
- *   --case-timeout-ms=<n>  per-case wall-clock deadline (fleet)
- *   --chaos-kill-ms=<n>  fleet self-test worker killer
- *   --forensics=<dir>    crash records + partial telemetry (fleet)
- *   --no-forced-sweep    skip the per-loop forced speculation pass
- *   --diff-fastpath      default vs reference-step equivalence campaign
- *   --guided             coverage-guided generation (forge campaign)
- *   --guided-batch=<n>   cases per guided weight-update batch
- *   --distill=<dir>      distill the campaign to a signature corpus
- *   --weights=<bank>     worker-mode weight bank (fleet internal)
+ * A harness with flags of its own (bench_forge_campaign) passes a
+ * parser for them to parseArgs(); every other flag is fatal.
  */
 
 #ifndef JRPM_BENCH_BENCH_UTIL_HH
 #define JRPM_BENCH_BENCH_UTIL_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -61,37 +52,21 @@ struct Options
     std::uint32_t jobs = 1;         ///< --jobs=<n>
     std::uint32_t cases = 100;      ///< --cases=<n>
     std::uint64_t seed = 0x5eed;    ///< --seed=<n>
-    // Forge campaign flags (bench_forge_campaign).
-    std::string axes;        ///< --axes=<list|all>
-    std::string corpusOut;   ///< --corpus-out=<dir>
-    std::string replayDir;   ///< --replay=<dir>
-    std::string emitStarter; ///< --emit-starter=<dir>
-    bool shrinkDemo = false; ///< --shrink-demo
-    // Observatory flags.
-    bool hostprof = false;       ///< --hostprof
-    std::string analyticsOut;    ///< --analytics-out=<path>
-    // Fleet orchestrator flags (bench_forge_campaign).
-    bool fleet = false;          ///< --fleet: multi-process campaign
-    std::string manifest;        ///< --manifest=<path>
-    std::uint32_t caseTimeoutMs = 120000; ///< --case-timeout-ms=<n>
-    std::uint32_t chaosKillMs = 0;        ///< --chaos-kill-ms=<n>
-    std::string workerRange;     ///< --worker-range=<lo>:<hi>:<att>
-    std::string workerReplay;    ///< --worker-replay=<file>
-    std::string forensics;       ///< --forensics=<dir>
-    bool noForcedSweep = false;  ///< --no-forced-sweep
-    /** --diff-fastpath: default vs SystemConfig::referenceStep
-     *  equivalence campaign (bench_forge_campaign). */
-    bool diffFastPath = false;
-    // Coverage-guided forge flags (bench_forge_campaign).
-    bool guided = false;            ///< --guided
-    std::uint32_t guidedBatch = 32; ///< --guided-batch=<n>
-    std::string distillDir;         ///< --distill=<dir>
-    std::string weights;            ///< --weights=<bank> (worker)
+    bool hostprof = false;          ///< --hostprof
 };
 
-/** Parses flags; handles --help and --list (both print and exit).
- *  Registers the --report-out exit hook when requested. */
-Options parseArgs(int argc, char **argv);
+/** A harness's own flags: parse(arg) returns true when it consumed
+ *  @p arg; usage is appended to the --help line. */
+struct HarnessFlags
+{
+    std::function<bool(const char *)> parse;
+    const char *usage = "";
+};
+
+/** Parses the common flags plus @p own; handles --help and --list
+ *  (both print and exit).  Registers the --report-out exit hook when
+ *  requested. */
+Options parseArgs(int argc, char **argv, const HarnessFlags &own = {});
 
 /** The workload list honoring --only, with --quick applied. */
 std::vector<Workload> selectWorkloads(const Options &opt);

@@ -44,11 +44,7 @@ const char *const kNames[kNumSlots] = {
     "oracle_check",   // OracleCheck
     "metrics_publish",// MetricsPublish
     "sig_check",      // SigCheck
-    "svc_accept",     // SvcAccept
-    "svc_parse",      // SvcParse
-    "svc_schedule",   // SvcSchedule
-    "svc_run",        // SvcRun
-    "svc_reply",      // SvcReply
+    "forced_sweep",   // ForcedSweep
 };
 
 // Declared display hierarchy (see slotParent doc in the header).
@@ -72,14 +68,9 @@ const int kParents[kNumSlots] = {
     static_cast<int>(HostSlot::Pipeline),     // OracleCheck
     static_cast<int>(HostSlot::Pipeline),     // MetricsPublish
     static_cast<int>(HostSlot::StepExact),    // SigCheck
-    // The service slots are display roots: accept/parse/schedule/
-    // reply run on the event thread, svc_run on pool workers (the
-    // whole Pipeline hierarchy nests under it dynamically).
-    -1,                                       // SvcAccept
-    -1,                                       // SvcParse
-    -1,                                       // SvcSchedule
-    -1,                                       // SvcRun
-    -1,                                       // SvcReply
+    // The forge sweep runs after JrpmSystem::run() has closed the
+    // Pipeline slot; its runTls machine runs nest under it.
+    -1,                                       // ForcedSweep
 };
 
 } // namespace

@@ -59,15 +59,10 @@ enum class HostSlot : std::uint8_t
     OracleCheck,   ///< oracle comparison / divergence checks
     MetricsPublish,///< metrics/trace publication
     SigCheck,      ///< write/read-set signature membership probes
-    // Jrpm-as-a-service request path (src/service/).
-    SvcAccept,     ///< accepting connections / socket reads
-    SvcParse,      ///< frame extraction + request decode
-    SvcSchedule,   ///< admission + work-stealing pool handoff
-    SvcRun,        ///< worker-side request execution (pipeline)
-    SvcReply,      ///< response serialization + socket writes
+    ForcedSweep,   ///< forge's per-loop forced runTls sweep
 };
 
-inline constexpr std::size_t kNumSlots = 22;
+inline constexpr std::size_t kNumSlots = 18;
 
 /** Short stable name for a slot ("machine_run", "dep_check", ...). */
 const char *slotName(std::size_t slot);

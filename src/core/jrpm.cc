@@ -362,17 +362,6 @@ JrpmSystem::runPipeline()
                   repo->dir().c_str());
     }
 
-    // Stage-boundary cancellation: a service request's cancel frame
-    // or expired deadline stops the pipeline between runs; each
-    // individual run stays bounded by maxCycles and the watchdog.
-    auto checkCancel = [this](const char *stage) {
-        if (cfg.cancel.stopRequested())
-            fatal("%s: %s before %s stage", load.name.c_str(),
-                  *cfg.cancel.why() ? cfg.cancel.why() : "cancelled",
-                  stage);
-    };
-
-    checkCancel("baseline");
     // Baselines (step 0): plain sequential runs.
     rep.seqMain = runSequential(load.mainArgs, false, nullptr);
     const bool same_input = load.profileArgs == load.mainArgs;
@@ -389,7 +378,6 @@ JrpmSystem::runPipeline()
         rep.profilingSlowdown = entry.profilingSlowdown;
         rep.selections = entry.selections;
     } else {
-        checkCancel("profiling");
         rep.seqProfileIn =
             same_input
                 ? rep.seqMain
@@ -437,7 +425,6 @@ JrpmSystem::runPipeline()
     }
 
     // Steps 4-5: recompile and run speculatively.
-    checkCancel("TLS");
     rep.tls = runTls(load.mainArgs, rep.selections);
 
     // Fig. 9 lifecycle accounting.
@@ -534,9 +521,7 @@ JrpmSystem::runPipeline()
             fresh.profilingCycles = rep.profiled.cycles;
             fresh.profiles = rep.profiles;
             fresh.selections = rep.selections;
-            if (fresh.predictedSpeedup >=
-                cfg.crystal.admitMinPredicted)
-                repo->store(fresh);
+            repo->store(fresh);
         }
     }
 

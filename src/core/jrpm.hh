@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "bytecode/bytecode.hh"
-#include "common/cancel.hh"
 #include "common/fault.hh"
 #include "core/oracle.hh"
 #include "crystal/crystal.hh"
@@ -83,15 +82,6 @@ struct CrystalRunConfig
      *  this fraction of the stored prediction (and the prediction
      *  promised a real speedup). */
     double demoteRatio = 0.5;
-    /**
-     * Admission policy for crystallizing fresh entries: only store
-     * decompositions whose predicted whole-program speedup reaches
-     * this bound.  The service sets it slightly above 1.0 on a
-     * capacity-limited cache so entries that only reproduce the
-     * sequential baseline don't evict entries that actually pay for
-     * the warm start.  0 (default) admits everything.
-     */
-    double admitMinPredicted = 0.0;
 };
 
 /** Full configuration of a Jrpm instance. */
@@ -109,10 +99,6 @@ struct JrpmConfig
     OracleConfig oracle;
     /** Faults injected into the TLS run (robustness harness). */
     FaultPlan faultPlan;
-    /** Cooperative cancel/deadline token, polled between the Fig. 1
-     *  pipeline stages; a stop turns the run into a fatal() (a
-     *  per-case error under ScopedFatalCapture).  Empty = never. */
-    CancelToken cancel;
     /** microJIT speed model: cycles per bytecode compiled. */
     double cyclesPerBytecodeCompile = 250.0;
     /** recompilation touches only STL-bearing methods. */
@@ -238,10 +224,9 @@ class JrpmSystem
 
     /**
      * Memoized Tls-mode compiler output: repeated runTls calls with
-     * an identical request set (service traffic, benchmark loops,
-     * forge campaigns re-running one decomposition) copy the compiled
-     * methods into the fresh machine instead of re-running the
-     * compiler.  Compilation is deterministic in (program, config,
+     * an identical request set (benchmark loops, forge campaigns
+     * re-running one decomposition) copy the compiled methods into
+     * the fresh machine instead of re-running the compiler.  Compilation is deterministic in (program, config,
      * requests), so the copy is bit-identical to a recompile.
      */
     struct TlsCodeCache

@@ -11,10 +11,8 @@
 
 #include <fcntl.h>
 #include <sys/file.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -615,9 +613,6 @@ CrystalRepo::lookup(std::uint64_t fingerprint, CrystalEntry &out)
     }
     ++counters.hits;
     bump("crystal.hits");
-    // Refresh the mtime so capacity eviction is LRU: a hit moves
-    // the entry to the back of the eviction order.
-    ::utimensat(AT_FDCWD, path.c_str(), nullptr, 0);
     out = std::move(e);
     return true;
 }
@@ -653,50 +648,7 @@ CrystalRepo::store(const CrystalEntry &entry)
     }
     ++counters.stores;
     bump("crystal.stores");
-    if (maxEntries > 0)
-        enforceCapLocked();
     return true;
-}
-
-void
-CrystalRepo::setCapacity(std::size_t max_entries)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    maxEntries = max_entries;
-    if (maxEntries > 0) {
-        ScopedFlock iplock(lockFd, LOCK_EX);
-        enforceCapLocked();
-    }
-}
-
-void
-CrystalRepo::enforceCapLocked()
-{
-    // Collect (mtime, path) for every entry and drop the oldest
-    // until the cap holds.  Hits refresh mtimes, so this is LRU.
-    std::vector<std::pair<fs::file_time_type, fs::path>> entries;
-    std::error_code ec;
-    for (const auto &de : fs::directory_iterator(root, ec)) {
-        const std::string name = de.path().filename().string();
-        if (name.size() != 16 + 8 ||
-            name.compare(16, 8, ".crystal") != 0)
-            continue;
-        std::error_code tec;
-        const auto mtime = fs::last_write_time(de.path(), tec);
-        if (!tec)
-            entries.emplace_back(mtime, de.path());
-    }
-    if (entries.size() <= maxEntries)
-        return;
-    std::sort(entries.begin(), entries.end());
-    const std::size_t excess = entries.size() - maxEntries;
-    for (std::size_t i = 0; i < excess; ++i) {
-        std::error_code rec;
-        if (fs::remove(entries[i].second, rec) && !rec) {
-            ++counters.evictions;
-            bump("crystal.evictions");
-        }
-    }
 }
 
 bool

@@ -151,10 +151,10 @@ struct CrystalEntry
 /** Repository observability counters.  Every field is also published
  *  live as a `crystal.*` counter in the global metrics registry
  *  (crystal.hits, crystal.misses, ...), so cache effectiveness shows
- *  up in service stats and the observatory report regardless of
- *  which client — batch driver, service, fleet worker — drove the
- *  repository.  (crystal.demotions is published by JrpmSystem, which
- *  owns the misprediction policy.) */
+ *  up in the observatory report regardless of which client — batch
+ *  driver or fleet worker — drove the repository.
+ *  (crystal.demotions is published by JrpmSystem, which owns the
+ *  misprediction policy.) */
 struct CrystalStats
 {
     std::uint64_t hits = 0;
@@ -164,7 +164,6 @@ struct CrystalStats
     std::uint64_t rejects = 0; ///< files present but unreadable
     std::uint64_t quarantined = 0; ///< rejects renamed to .corrupt
     std::uint64_t tmpSwept = 0; ///< stale writer tmp files removed
-    std::uint64_t evictions = 0; ///< LRU entries removed by the cap
 };
 
 /**
@@ -193,17 +192,6 @@ class CrystalRepo
     /** Remove an entry (demotion).  @return true if one existed. */
     bool invalidate(std::uint64_t fingerprint);
 
-    /**
-     * Serve the repository as a bounded warm cache: cap the entry
-     * count at @p max_entries (0 = unbounded, the default).  The cap
-     * is enforced after every store by evicting the
-     * least-recently-used entries — LRU by file mtime, which lookup
-     * refreshes on every hit — and counts each removal as an
-     * eviction (crystal.evictions).
-     */
-    void setCapacity(std::size_t max_entries);
-    std::size_t capacity() const { return maxEntries; }
-
     /** Fingerprints currently on disk. */
     std::vector<std::uint64_t> list() const;
 
@@ -217,14 +205,9 @@ class CrystalRepo
     std::string pathFor(std::uint64_t fingerprint) const;
 
   private:
-    /** Evict LRU entries until <= maxEntries remain.  Caller holds
-     *  mu and the exclusive flock. */
-    void enforceCapLocked();
-
     std::string root;
     mutable std::mutex mu;
     CrystalStats counters;
-    std::size_t maxEntries = 0; ///< 0 = unbounded
     /** fd of `<root>/.lock`, flock()ed around disk operations so
      *  separate processes sharing the directory serialize too;
      *  -1 when the lock file cannot be created (degrades to

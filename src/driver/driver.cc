@@ -1,12 +1,13 @@
 #include "driver.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <exception>
+#include <thread>
 
 #include "common/logging.hh"
 #include "common/metrics.hh"
-#include "service/scheduler.hh"
 
 namespace jrpm
 {
@@ -69,14 +70,6 @@ BatchDriver::run(std::vector<DriverJob> jobs)
     auto runCase = [&](std::size_t i) {
         DriverJob &job = jobs[i];
         DriverResult &res = results[i];
-        // Batch-case boundary: a cancelled batch (cancel frame,
-        // expired per-request deadline) skips every case that has
-        // not started yet instead of leaking a running worker.
-        if (cfg.cancel.stopRequested()) {
-            const char *why = cfg.cancel.why();
-            res.error = *why ? why : "cancelled";
-            return;
-        }
         if (cfg.progress)
             inform("driver: job %zu/%zu: %s", i + 1, n,
                    job.workload.name.c_str());
@@ -107,15 +100,20 @@ BatchDriver::run(std::vector<DriverJob> jobs)
                  job.workload.name.c_str(), res.error.c_str());
     };
 
-    // The batch API is a thin client of the work-stealing scheduler:
-    // each case is one pool task writing its own input-indexed
-    // result slot, so the output bytes are independent of the worker
-    // count and of the steal order.
+    // Each worker claims the next unstarted case until none are
+    // left.  A case writes only its own input-indexed result slot,
+    // so the output bytes are independent of the worker count and of
+    // which worker ran which case.  A serial batch still runs on one
+    // spawned worker, so every case sees the same kind of thread.
     {
-        svc::WorkStealingPool pool(workers);
-        for (std::size_t i = 0; i < n; ++i)
-            pool.submit([&runCase, i] { runCase(i); });
-        pool.drain();
+        std::atomic<std::size_t> next{0};
+        std::vector<std::jthread> pool;
+        pool.reserve(workers);
+        for (std::uint32_t w = 0; w < workers; ++w)
+            pool.emplace_back([&] {
+                for (std::size_t i; (i = next.fetch_add(1)) < n;)
+                    runCase(i);
+            });
     }
 
     auto &reg = MetricsRegistry::global();
@@ -125,7 +123,7 @@ BatchDriver::run(std::vector<DriverJob> jobs)
         reg.histogram("driver.job_wall_ms").sample(r.wallMs);
     // Crystal repository counters publish live from CrystalRepo
     // itself (crystal.* in the metrics registry), shared by every
-    // client — batch driver, service front-end, fleet workers.
+    // client — batch driver and fleet workers.
     return results;
 }
 

@@ -7,17 +7,13 @@
  * one JIT — so jobs share no mutable state beyond the thread-safe
  * process-wide observability singletons (Trace, MetricsRegistry, the
  * log throttle) and, optionally, one crystal repository that
- * warm-starts repeat workloads.  The driver is a thin batch client
- * of the service layer's work-stealing scheduler
- * (service/scheduler.hh): every job becomes one pool task that
- * writes its own input-indexed result slot, so a batch's reports are
- * byte-identical whether it ran with one worker or sixteen and
- * whatever the steal order was.
- *
- * Cancellation: a batch can carry a CancelToken; it is polled at
- * batch-case boundaries, so cancelling (or an expired deadline)
- * turns every not-yet-started case into a per-case error instead of
- * leaking running workers for the rest of the batch.
+ * warm-starts repeat workloads.  The driver starts
+ * min(jobs, batch size) worker threads (at least one, even for a
+ * serial batch); each worker claims the next unstarted job from a
+ * shared counter and writes that job's input-indexed result slot, so
+ * a batch's reports are byte-identical whether it ran with one
+ * worker or sixteen.  A job that throws or calls fatal() becomes a
+ * per-job error; its siblings run on.
  */
 
 #ifndef JRPM_DRIVER_DRIVER_HH
@@ -29,14 +25,13 @@
 #include <string>
 #include <vector>
 
-#include "common/cancel.hh"
 #include "core/jrpm.hh"
 #include "crystal/crystal.hh"
 
 namespace jrpm
 {
 
-/** Pool geometry and crystal policy for a batch. */
+/** Worker count and crystal policy for a batch. */
 struct DriverConfig
 {
     /** Concurrent pipelines (0 or 1 = serial). */
@@ -48,10 +43,6 @@ struct DriverConfig
     WarmMode warm = WarmMode::Auto;
     /** Per-job progress lines via inform(). */
     bool progress = false;
-    /** Optional batch-wide cancel/deadline token, polled at case
-     *  boundaries; cancelled cases report error "cancelled" (or
-     *  "deadline").  Empty = never cancelled. */
-    CancelToken cancel;
 };
 
 /** One unit of work: a workload plus its full pipeline config. */
@@ -63,7 +54,7 @@ struct DriverJob
      * Optional custom runner replacing the default
      * JrpmSystem(workload, cfg).run() pipeline — the forge campaign
      * uses this to add forced-speculation sweeps per scenario while
-     * still riding the pool's scheduling, ordering and error
+     * still riding the driver's scheduling, ordering and error
      * containment.  The workload field still labels the job for
      * progress output; crystal attachment is skipped (a custom
      * runner owns its own config).

@@ -26,6 +26,36 @@ namespace forge
 namespace
 {
 
+/** Forced-speculation sweep: every loop the JIT accepts, one at a
+ *  time, against the pipeline's sequential golden run. */
+void
+forcedSweep(JrpmSystem &sys, const Workload &w, const JrpmConfig &base,
+            const JrpmReport &rep, CaseResult &cr)
+{
+    JRPM_HPROF(ForcedSweep);
+    const auto skip =
+        VmRuntime::scratchRegions(base.vm, base.sys.numCpus);
+    const RunDigest golden = rep.seqMain.digest();
+    for (const auto &li : sys.jit().loopInfos()) {
+        SelectedStl sel;
+        sel.loopId = li.loopId;
+        const RunOutcome tls = sys.runTls(w.mainArgs, {sel});
+        ++cr.forcedLoops;
+        OracleReport orep;
+        {
+            JRPM_HPROF(OracleCheck);
+            orep = Oracle::compare(base.oracle, golden, tls.digest(),
+                                   skip);
+        }
+        if (!orep.match()) {
+            ++cr.forcedDiverged;
+            if (cr.detail.empty())
+                cr.detail = strfmt("forced loop %d: %s", li.loopId,
+                                   orep.summary().c_str());
+        }
+    }
+}
+
 CaseResult
 runCaseImpl(const ScenarioSpec &spec, const JrpmConfig &base,
             bool forced_sweep, JrpmReport *rep_out)
@@ -86,31 +116,15 @@ runCaseImpl(const ScenarioSpec &spec, const JrpmConfig &base,
     cr.silent = resultDiffers && rep.oracle.compared &&
                 rep.oracle.match() && !cr.watchdog;
 
-    // Forced-speculation sweep: every loop the JIT accepts, one at a
-    // time, against the pipeline's sequential golden run.
     if (forced_sweep && base.oracle.mode != OracleMode::Off &&
         rep.seqMain.halted) {
-        const auto skip =
-            VmRuntime::scratchRegions(base.vm, base.sys.numCpus);
-        const RunDigest golden = rep.seqMain.digest();
-        for (const auto &li : sys.jit().loopInfos()) {
-            SelectedStl sel;
-            sel.loopId = li.loopId;
-            const RunOutcome tls = sys.runTls(w.mainArgs, {sel});
-            ++cr.forcedLoops;
-            OracleReport orep;
-            {
-                JRPM_HPROF(OracleCheck);
-                orep = Oracle::compare(base.oracle, golden, tls.digest(),
-                                       skip);
-            }
-            if (!orep.match()) {
-                ++cr.forcedDiverged;
-                if (cr.detail.empty())
-                    cr.detail = strfmt("forced loop %d: %s",
-                                       li.loopId,
-                                       orep.summary().c_str());
-            }
+        forcedSweep(sys, w, base, rep, cr);
+        // The sweep's own scope closed after run() flushed and
+        // published the profiler; flush it before this worker thread
+        // can exit, and republish so --metrics-out counts it.
+        if (hostprof::enabled()) {
+            hostprof::flushThread();
+            hostprof::publish(MetricsRegistry::global());
         }
     }
 

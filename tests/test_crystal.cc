@@ -12,7 +12,6 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "common/metrics.hh"
@@ -370,52 +369,12 @@ TEST(CrystalRepo, SweepsOnlyStaleWriterTempFiles)
     EXPECT_EQ(repo.size(), 1u);
 }
 
-TEST(CrystalRepo, CapacityEvictsLeastRecentlyUsed)
-{
-    TempDir td;
-    CrystalRepo repo(td.path.string());
-    repo.setCapacity(3);
-    EXPECT_EQ(repo.capacity(), 3u);
-
-    // Four distinct entries with increasing mtimes.
-    std::vector<std::uint64_t> fps;
-    for (int i = 0; i < 4; ++i) {
-        CrystalEntry e = sampleEntry();
-        e.argsHash = static_cast<std::uint64_t>(i + 1);
-        fps.push_back(e.fingerprint());
-        if (i == 2)
-            // Keep entry 0 warm: the LRU victim must be entry 1.
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(50));
-        ASSERT_TRUE(repo.store(e));
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(50));
-        if (i == 2) {
-            CrystalEntry hit;
-            ASSERT_TRUE(repo.lookup(fps[0], hit));
-        }
-    }
-
-    EXPECT_EQ(repo.size(), 3u);
-    EXPECT_GE(repo.stats().evictions, 1u);
-    CrystalEntry out;
-    EXPECT_TRUE(repo.lookup(fps[0], out)) << "recently used";
-    EXPECT_FALSE(repo.lookup(fps[1], out)) << "LRU victim";
-    EXPECT_TRUE(repo.lookup(fps[2], out));
-    EXPECT_TRUE(repo.lookup(fps[3], out));
-
-    // Shrinking the cap evicts immediately.
-    repo.setCapacity(1);
-    EXPECT_EQ(repo.size(), 1u);
-}
-
 TEST(CrystalRepo, PublishesLiveMetrics)
 {
     auto &reg = MetricsRegistry::global();
     reg.clear();
     TempDir td;
     CrystalRepo repo(td.path.string());
-    repo.setCapacity(1);
 
     CrystalEntry a = sampleEntry();
     CrystalEntry b = sampleEntry();
@@ -425,13 +384,12 @@ TEST(CrystalRepo, PublishesLiveMetrics)
     EXPECT_FALSE(repo.lookup(a.fingerprint(), out)); // miss
     ASSERT_TRUE(repo.store(a));
     EXPECT_TRUE(repo.lookup(a.fingerprint(), out)); // hit
-    ASSERT_TRUE(repo.store(b));                     // evicts a
+    ASSERT_TRUE(repo.store(b));
     ASSERT_TRUE(repo.invalidate(b.fingerprint()));
 
     EXPECT_EQ(reg.counter("crystal.misses").value(), 1u);
     EXPECT_EQ(reg.counter("crystal.hits").value(), 1u);
     EXPECT_EQ(reg.counter("crystal.stores").value(), 2u);
-    EXPECT_EQ(reg.counter("crystal.evictions").value(), 1u);
     EXPECT_EQ(reg.counter("crystal.invalidations").value(), 1u);
     reg.clear();
 }

@@ -8,13 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
-#include <chrono>
 #include <stdexcept>
-#include <thread>
 
 #include "common/logging.hh"
+#include "common/metrics.hh"
 #include "core/report_json.hh"
 #include "driver/driver.hh"
 #include "workloads/workloads.hh"
@@ -238,71 +239,41 @@ TEST(BatchDriver, EmptyBatchAndOwnedRepo)
     EXPECT_EQ(driver.repo()->dir(), td.path.string());
 }
 
-TEST(BatchDriver, PreCancelledBatchSkipsEveryCase)
+/** Every job runs exactly once whatever the worker count, and the
+ *  driver never spawns more workers than there are jobs.  (Comparing
+ *  outputs alone would not catch a job that ran twice.) */
+TEST(BatchDriver, EachJobRunsExactlyOnce)
 {
-    const auto ws = quickWorkloads();
-    DriverConfig dc;
-    dc.jobs = 2;
-    dc.cancel = CancelToken::make();
-    dc.cancel.cancel();
-    const auto res = BatchDriver(dc).run(jobsFor(ws, JrpmConfig{}));
-    ASSERT_EQ(res.size(), ws.size());
-    for (const DriverResult &r : res) {
-        EXPECT_FALSE(r.ok);
-        EXPECT_EQ(r.error, "cancelled");
+    constexpr std::size_t kJobs = 5;
+    for (std::uint32_t workers : {1u, 2u, 3u, 8u}) {
+        SCOPED_TRACE(workers);
+        std::atomic<int> calls[kJobs] = {};
+        std::vector<DriverJob> jobs(kJobs);
+        for (std::size_t i = 0; i < kJobs; ++i) {
+            jobs[i].workload.name = "job" + std::to_string(i);
+            jobs[i].custom = [&calls, i] {
+                calls[i].fetch_add(1, std::memory_order_relaxed);
+                return JrpmReport{};
+            };
+        }
+        DriverConfig dc;
+        dc.jobs = workers;
+        const auto res = BatchDriver(dc).run(std::move(jobs));
+        ASSERT_EQ(res.size(), kJobs);
+        for (std::size_t i = 0; i < kJobs; ++i) {
+            SCOPED_TRACE(i);
+            EXPECT_TRUE(res[i].ok) << res[i].error;
+            EXPECT_EQ(calls[i].load(), 1);
+        }
+        EXPECT_EQ(MetricsRegistry::global()
+                      .gauge("driver.workers")
+                      .value(),
+                  std::min<double>(workers, kJobs));
     }
 }
 
-TEST(BatchDriver, MidBatchCancelStopsRemainingCases)
-{
-    // 12 copies of one workload, 1 worker: the first case's custom
-    // body fires the token, so later cases must be skipped at the
-    // batch-case boundary.
-    Workload w = wl::workloadByName("BitOps");
-    if (!w.profileArgs.empty()) {
-        w.mainArgs = w.profileArgs;
-        w.profileArgs.clear();
-    }
-    DriverConfig dc;
-    dc.jobs = 1;
-    dc.cancel = CancelToken::make();
-    CancelToken token = dc.cancel;
-
-    std::vector<DriverJob> jobs = jobsFor({w, w, w}, JrpmConfig{});
-    for (int i = 0; i < 9; ++i)
-        jobs.push_back(jobs.back());
-    jobs[0].custom = [token]() mutable -> JrpmReport {
-        token.cancel();
-        return JrpmReport{};
-    };
-
-    const auto res = BatchDriver(dc).run(std::move(jobs));
-    ASSERT_EQ(res.size(), 12u);
-    EXPECT_TRUE(res[0].ok);
-    for (std::size_t i = 1; i < res.size(); ++i) {
-        SCOPED_TRACE(i);
-        EXPECT_FALSE(res[i].ok);
-        EXPECT_EQ(res[i].error, "cancelled");
-    }
-}
-
-TEST(BatchDriver, ExpiredDeadlineReportsDeadline)
-{
-    const auto ws = quickWorkloads();
-    DriverConfig dc;
-    dc.jobs = 2;
-    dc.cancel = CancelToken::make();
-    dc.cancel.setDeadlineAfterMs(1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    const auto res = BatchDriver(dc).run(jobsFor(ws, JrpmConfig{}));
-    for (const DriverResult &r : res) {
-        EXPECT_FALSE(r.ok);
-        EXPECT_EQ(r.error, "deadline");
-    }
-}
-
-/** The work-stealing rewrite must not perturb output bytes: any
- *  worker count yields the serial batch, report for report. */
+/** The worker count must not perturb output bytes: any worker count
+ *  yields the serial batch, report for report. */
 TEST(BatchDriver, OutputIndependentOfWorkerCount)
 {
     const auto ws = quickWorkloads();

@@ -30,6 +30,8 @@
 #include "core/jrpm.hh"
 #include "core/report_json.hh"
 #include "cpu/stats.hh"
+#include "forge/campaign.hh"
+#include "forge/forge.hh"
 #include "tls/machine.hh"
 #include "workloads/workloads.hh"
 
@@ -955,6 +957,34 @@ TEST(HostProf, PipelineAttributionCoversRunWallTime)
     // Exclusive times partition the single root exactly; allow 1%
     // for tick-to-seconds rounding per slot.
     EXPECT_NEAR(sumSelf, pipeline, 0.01 * pipeline + 1e-9);
+    hostprof::reset();
+}
+
+TEST(HostProf, ForcedSweepRunsUnderARootSlot)
+{
+    hostprof::reset();
+    JrpmConfig cfg;
+    cfg.obs.hostprofEnabled = true;
+    cfg.oracle.mode = OracleMode::Strict;
+    cfg.vm.heapBytes = 4u << 20;
+    const forge::CaseResult cr = forge::runCase(
+        forge::generate(0x5eed), cfg, /*forced_sweep=*/true);
+    hostprof::setEnabled(false);
+    ASSERT_TRUE(cr.ok) << cr.error;
+    ASSERT_GT(cr.forcedLoops, 0u);
+
+    // The sweep's runTls calls happen after run() closes the pipeline
+    // slot; they must still land under a root, so no slot's
+    // inclusive time exceeds the roots' sum.
+    const auto snap = hostprof::snapshot();
+    EXPECT_EQ(slotByName(snap, "forced_sweep").count, 1u);
+    EXPECT_EQ(slotByName(snap, "forced_sweep").parent, -1);
+    std::uint64_t roots = 0;
+    for (const auto &s : snap)
+        if (s.parent < 0)
+            roots += s.tsc;
+    for (const auto &s : snap)
+        EXPECT_LE(s.tsc, roots) << s.name;
     hostprof::reset();
 }
 
